@@ -17,7 +17,9 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
-from .groups import ClassSet, GroupTable, OrderCapExceeded, _seeded_rng, class_power_chains
+from .groups import (
+    ClassSet, GroupTable, OrderCapExceeded, _seeded_rng, class_power_chains, permutation_parity
+)
 from .ntheory import factorize, is_prime
 from .reciprocity import CheckResult, Discriminant, RealComplexSplit, quadratic_symbol
 
@@ -712,7 +714,7 @@ def det_identities(
                     break
             if not column_ok:
                 break
-        sym = quadratic_symbol(G, S, a)
+        sym = permutation_parity(colmap)
         if galois_apply(det, a) != det * sym:
             galois_ok = False
             galois_witness = f"a = {a}, symbol {sym}"

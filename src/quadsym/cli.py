@@ -60,8 +60,15 @@ def load_catalog(text: str) -> list[str]:
     return specs
 
 
-def _factored_json(d: FactoredInt) -> dict:
-    return {"sign": d.sign, "factors": [[p, e] for p, e in d.factors]}
+def _d_json(d: FactoredInt) -> dict:
+    return {
+        "d": d.decimal(),
+        "d_factored": {"sign": d.sign, "factors": [[p, e] for p, e in d.factors]},
+    }
+
+
+def _checks_json(checks: tuple[reciprocity.CheckResult, ...]) -> list:
+    return [{"name": c.name, "ok": c.ok, "witness": c.witness} for c in checks]
 
 
 def _emit(args, obj: dict, human: str) -> None:
@@ -84,14 +91,11 @@ def _report_json(rep: VerificationReport) -> dict:
         "r1": rep.r1,
         "r2": rep.r2,
         "exponent": rep.exponent,
-        "d": rep.d.decimal(),
-        "d_factored": _factored_json(rep.d),
+        **_d_json(rep.d),
         "d_K": rep.d_K,
         "conductor": rep.conductor,
         "theorem_ok": rep.ok,
-        "checks": [
-            {"name": c.name, "ok": c.ok, "witness": c.witness} for c in rep.checks
-        ],
+        "checks": _checks_json(rep.checks),
     }
 
 
@@ -120,8 +124,7 @@ def _cmd_disc(args) -> int:
         "m": S.m,
         "r1": split.r1,
         "r2": split.r2,
-        "d": D.value.decimal(),
-        "d_factored": _factored_json(D.value),
+        **_d_json(D.value),
         "d_K": fd.d_K,
         "conductor": fd.conductor,
     }
@@ -137,34 +140,32 @@ def _cmd_classes(args) -> int:
     G = _build(args)
     S = conjugacy_classes(G)
     split = real_complex_split(S)
-    if args.json:
-        obj = {
-            "label": G.label,
-            "n": G.n,
-            "m": S.m,
-            "r1": split.r1,
-            "r2": split.r2,
-            "classes": [
-                {
-                    "index": j,
-                    "size": c.size,
-                    "rep_order": c.rep_order,
-                    "centralizer": c.centralizer_order,
-                    "rep": G.element_repr(c.rep),
-                    "real": S.inverse_class[j] == j,
-                }
-                for j, c in enumerate(S.classes)
-            ],
-        }
-        print(json.dumps(obj, separators=(",", ":")))
-    else:
-        print(f"{G.label}: n={G.n} m={S.m} r1={split.r1} r2={split.r2}")
-        for j, c in enumerate(S.classes):
-            tag = "real" if S.inverse_class[j] == j else f"pair<->{S.inverse_class[j]}"
-            print(
-                f"  class {j}: size={c.size} rep_order={c.rep_order} "
-                f"centralizer={c.centralizer_order} {tag} rep={G.element_repr(c.rep)}"
-            )
+    obj = {
+        "label": G.label,
+        "n": G.n,
+        "m": S.m,
+        "r1": split.r1,
+        "r2": split.r2,
+        "classes": [
+            {
+                "index": j,
+                "size": c.size,
+                "rep_order": c.rep_order,
+                "centralizer": c.centralizer_order,
+                "rep": G.element_repr(c.rep),
+                "real": S.inverse_class[j] == j,
+            }
+            for j, c in enumerate(S.classes)
+        ],
+    }
+    human = [f"{G.label}: n={G.n} m={S.m} r1={split.r1} r2={split.r2}"]
+    for j, c in enumerate(S.classes):
+        tag = "real" if S.inverse_class[j] == j else f"pair<->{S.inverse_class[j]}"
+        human.append(
+            f"  class {j}: size={c.size} rep_order={c.rep_order} "
+            f"centralizer={c.centralizer_order} {tag} rep={G.element_repr(c.rep)}"
+        )
+    _emit(args, obj, "\n".join(human))
     return EXIT_OK
 
 
@@ -191,35 +192,30 @@ def _cmd_chartab(args) -> int:
     T = chartab.character_table(G, S, split, seed=args.seed)
     chartab.verify_orthogonality(G, S, T)
     det = chartab.det_identities(G, S, split, T, D)
-    if args.json:
-        obj = {
-            "label": G.label,
-            "n": G.n,
-            "m": T.m,
-            "conductor": T.conductor,
-            "prime": T.prime,
-            "class_order": list(T.class_order),
-            "degrees": list(T.degrees),
-            "rows": [[list(z.coeffs) for z in row] for row in T.entries],
-            "det_squared": det.det_squared,
-            "ell": det.ell,
-            "d": D.value.decimal(),
-            "checks": [
-                {"name": c.name, "ok": c.ok, "witness": c.witness} for c in det.checks
-            ],
-        }
-        print(json.dumps(obj, separators=(",", ":")))
-    else:
-        print(
-            f"{G.label}: m={T.m} conductor={T.conductor} prime={T.prime} "
-            f"degrees={list(T.degrees)}"
-        )
-        print(f"columns (class indices): {list(T.class_order)}")
-        sys.stdout.write(chartab.export_table(T))
-        print(f"det^2 = {det.det_squared} = {det.ell}^2 * ({D.value.decimal()})")
-        for c in det.checks:
-            mark = "ok" if c.ok else f"FAILED ({c.witness})"
-            print(f"  {c.name}: {mark}")
+    obj = {
+        "label": G.label,
+        "n": G.n,
+        "m": T.m,
+        "conductor": T.conductor,
+        "prime": T.prime,
+        "class_order": list(T.class_order),
+        "degrees": list(T.degrees),
+        "rows": [[list(z.coeffs) for z in row] for row in T.entries],
+        "det_squared": det.det_squared,
+        "ell": det.ell,
+        "d": D.value.decimal(),
+        "checks": _checks_json(det.checks),
+    }
+    human = [
+        f"{G.label}: m={T.m} conductor={T.conductor} prime={T.prime} degrees={list(T.degrees)}",
+        f"columns (class indices): {list(T.class_order)}",
+        chartab.export_table(T).rstrip("\n"),
+        f"det^2 = {det.det_squared} = {det.ell}^2 * ({D.value.decimal()})",
+    ]
+    for c in det.checks:
+        mark = "ok" if c.ok else f"FAILED ({c.witness})"
+        human.append(f"  {c.name}: {mark}")
+    _emit(args, obj, "\n".join(human))
     return EXIT_OK if det.ok else EXIT_CHECK_FAILED
 
 
@@ -283,8 +279,7 @@ def _cmd_sl2_formula(args) -> int:
     obj = {
         "r": args.r,
         "q": q,
-        "d": d.decimal(),
-        "d_factored": _factored_json(d),
+        **_d_json(d),
         "d_K": d_K,
         "conductor": ntheory.int_to_decimal(fd.conductor),
         "is_square": ntheory.is_perfect_square(d),

@@ -1,4 +1,4 @@
-"""Finite groups as fully indexed multiplication tables.
+"""Finite groups with elements indexed 0..n-1.
 
 A group is built by closing a generating set of concretely encoded elements
 (integers, tuples of integers, permutation images, 2x2 matrix entries) under
@@ -24,8 +24,7 @@ from .groupspec import (
 )
 
 DEFAULT_MAX_ORDER = 5040
-# groups up to this size get a fully materialized n x n table
-_TABLE_LIMIT = 1024
+_EXHAUSTIVE_LIMIT = 1024
 
 
 class OrderCapExceeded(RuntimeError):
@@ -54,9 +53,9 @@ def _seeded_rng(seed: int, label: str, salt: str = "") -> random.Random:
 class GroupTable:
     """A finite group with elements indexed 0..n-1 in encoding order.
 
-    Exposes multiplication, inversion, element orders and powers.  The raw
-    encodings stay available through ``elements`` for printing and for
-    building direct products.
+    Exposes multiplication (of encodings, looked up in ``index``), inversion,
+    element orders and powers.  The raw encodings stay available through
+    ``elements`` for printing and for building direct products.
     """
 
     def __init__(
@@ -85,13 +84,6 @@ class GroupTable:
             gens = [self.identity_index]
         self.generators = tuple(gens)
         self._mul_enc = mul_enc
-        self._table: Optional[list[list[int]]] = None
-        if self.n <= _TABLE_LIMIT:
-            idx = self.index
-            elems = self.elements
-            self._table = [
-                [idx[mul_enc(a, b)] for b in elems] for a in elems
-            ]
         self._init_orders()
 
     def _init_orders(self) -> None:
@@ -120,8 +112,6 @@ class GroupTable:
         )
 
     def multiply(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
         return self.index[self._mul_enc(self.elements[i], self.elements[j])]
 
     def power(self, i: int, k: int) -> int:
@@ -476,7 +466,8 @@ def class_power_map(G: GroupTable, S: ClassSet, a: int) -> tuple[int, ...]:
     b = a % G.n if G.n > 0 else 0
     if math.gcd(b, G.n) != 1:
         raise ValueError(f"{a} is not coprime to the group order {G.n}")
-    return tuple(S.class_of[G.power(c.rep, b)] for c in S.classes)
+    chains = class_power_chains(G, S)
+    return tuple(chain[b % c.rep_order] for chain, c in zip(chains, S.classes))
 
 
 def permutation_parity(p: Sequence[int]) -> int:
@@ -504,12 +495,13 @@ def permutation_parity(p: Sequence[int]) -> int:
 
 
 def verify_axioms(G: GroupTable, seed: int = 0) -> None:
-    """Check the group laws on the realized table; raise GroupError on failure.
+    """Check the group laws on the realized group; raise GroupError on failure.
 
-    Groups with a materialized table (n <= 1024) get an exhaustive check,
-    including full associativity via vectorized table composition.  Larger
-    groups get exhaustive identity/inverse checks plus a large seeded sample
-    of rows, columns and triples.
+    Identity, inverses and orders are checked for every element.  For n <= 1024
+    an n x n table must be a Latin square, the generators must reach every
+    element, and Light's test (x g) y = x (g y) must hold for each generator g;
+    the elements passing it are closed under products, so this proves
+    associativity.  Larger groups get a seeded sample of rows, columns and triples.
     """
     n = G.n
     e = G.identity_index
@@ -523,26 +515,32 @@ def verify_axioms(G: GroupTable, seed: int = 0) -> None:
     if G.element_order[e] != 1 or n % G.exponent:
         raise GroupError(f"{G.label!r}: exponent {G.exponent} inconsistent with n={n}")
 
-    if G._table is not None:
-        t = np.array(G._table, dtype=np.int64)
-        want = np.arange(n, dtype=np.int64)
-        if not (np.array_equal(np.sort(t, axis=1), np.tile(want, (n, 1)))
-                and np.array_equal(np.sort(t, axis=0), np.tile(want[:, None], (1, n)))):
+    if n <= _EXHAUSTIVE_LIMIT:
+        idx, elems, mul = G.index, G.elements, G._mul_enc
+        t = np.empty((n, n), dtype=np.intp)
+        for i, a in enumerate(elems):
+            t[i] = [idx[mul(a, b)] for b in elems]
+        want = np.arange(n)
+        if not ((np.sort(t, axis=1) == want).all() and (np.sort(t, axis=0) == want[:, None]).all()):
             raise GroupError(f"{G.label!r}: multiplication table is not a Latin square")
-        if n <= 512:
-            for k in range(n):
-                if not np.array_equal(t[t, k], t[:, t[:, k]]):
-                    raise GroupError(f"{G.label!r}: associativity fails with k={k}")
-            return
-    else:
-        rng = _seeded_rng(seed, G.label, "latin")
-        lines = sorted(rng.sample(range(n), min(n, 48)))
-        full = set(range(n))
-        for i in lines:
-            if {G.multiply(i, j) for j in range(n)} != full:
-                raise GroupError(f"{G.label!r}: row {i} is not a permutation")
-            if {G.multiply(j, i) for j in range(n)} != full:
-                raise GroupError(f"{G.label!r}: column {i} is not a permutation")
+        right = t[:, list(G.generators)]
+        reached = np.arange(n) == e
+        while not reached[right[reached]].all():
+            reached[right[reached]] = True
+        if not reached.all():
+            raise GroupError(f"{G.label!r}: generators reach only {reached.sum()} of {n} elements")
+        for g in G.generators:
+            if not np.array_equal(t[t[:, g]], t[:, t[g]]):
+                raise GroupError(f"{G.label!r}: associativity fails with generator {g}")
+        return
+    rng = _seeded_rng(seed, G.label, "latin")
+    lines = sorted(rng.sample(range(n), min(n, 48)))
+    full = set(range(n))
+    for i in lines:
+        if {G.multiply(i, j) for j in range(n)} != full:
+            raise GroupError(f"{G.label!r}: row {i} is not a permutation")
+        if {G.multiply(j, i) for j in range(n)} != full:
+            raise GroupError(f"{G.label!r}: column {i} is not a permutation")
     rng = _seeded_rng(seed, G.label, "assoc")
     for _ in range(100_000):
         a = rng.randrange(n)

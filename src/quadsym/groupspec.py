@@ -8,7 +8,7 @@ Grammar::
             | "perm" ":" "[" gens "]"      -- permutation generators
     gens   := gen ("," gen)*
     gen    := cycle+                       -- cycles compose left to right
-    cycle  := "(" INT+ ")"                 -- points are 1-based
+    cycle  := "(" INT+ ")"                 -- points are 1-based, at most 1024
 
 ``*`` is the direct product and associates to the left.
 """
@@ -50,6 +50,9 @@ class ProductSpec:
 
 
 GroupSpec = Union[FamilySpec, PermSpec, ProductSpec]
+
+# largest permutation point, refused here before any tuple of points is built
+MAX_POINT = 1024
 
 # family name -> (min args, max args or None for unbounded)
 _FAMILIES = {
@@ -112,6 +115,8 @@ def _parse_cycle(sc: _Scanner) -> tuple[int, ...]:
         p = sc.integer()
         if p < 1:
             raise GroupSpecError("points are 1-based", at)
+        if p > MAX_POINT:
+            raise GroupSpecError(f"point {p} is above the limit {MAX_POINT}", at)
         if p in points:
             raise GroupSpecError(f"point {p} repeated in cycle", at)
         points.append(p)

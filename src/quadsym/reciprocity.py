@@ -179,14 +179,14 @@ def verify_group(G: GroupTable, S: Optional[ClassSet] = None) -> VerificationRep
             break
     if bad is None:
         for a in (-1, -3, n + 1, 2 * n + 3):
-            if quadratic_symbol(G, S, a) != kronecker(d, a):
+            if sym(a) != kronecker(d, a):
                 bad = a
                 break
     checks.append(
         _check(
             "symbol_equals_kronecker",
             bad is None,
-            None if bad is None else f"a = {bad}: symbol {quadratic_symbol(G, S, bad)}, kronecker {kronecker(d, bad)}",
+            None if bad is None else f"a = {bad}: symbol {sym(bad)}, kronecker {kronecker(d, bad)}",
         )
     )
 

@@ -117,6 +117,8 @@ def test_sl2_formula(capsys):
 def test_exit_code_usage(capsys):
     code, _, err = run(capsys, "verify", "wat:3")
     assert code == 2 and "unknown family" in err
+    code, _, err = run(capsys, "disc", "perm:[(1 100000000)]")
+    assert code == 2 and "limit" in err
     code, _, err = run(capsys, "jacobi", "2", "8")
     assert code == 2 and "odd positive" in err
     code, _, err = run(capsys, "kronecker", "7", "5")

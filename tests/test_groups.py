@@ -5,6 +5,7 @@ import pytest
 
 from quadsym.groups import (
     GroupError,
+    GroupTable,
     OrderCapExceeded,
     class_power_chains,
     class_power_map,
@@ -83,9 +84,35 @@ def test_verify_axioms_families():
 
 def test_verify_axioms_large_group_sampled():
     G = group("sl2:16")
-    assert G._table is None
+    assert G.n > 1024
     verify_axioms(G, seed=0)
     verify_axioms(G, seed=99)
+
+
+def test_verify_axioms_rejects_non_groups():
+    # a loop of order 6: 0 is the identity and x*x = 0 for every x, so all
+    # identity and inverse checks pass, but 80 of the 216 triples fail
+    # associativity
+    rows = [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 2, 5, 4],
+        [2, 4, 0, 5, 1, 3],
+        [3, 5, 4, 0, 2, 1],
+        [4, 3, 5, 1, 0, 2],
+        [5, 2, 1, 4, 3, 0],
+    ]
+    loop = GroupTable("loop6", range(6), lambda a, b: rows[a][b], 0, [1, 2])
+    for seed in (0, 7):
+        with pytest.raises(GroupError, match="associativity"):
+            verify_axioms(loop, seed=seed)
+    big = direct_product(loop, group("cyclic:100"))
+    assert big.n == 600
+    with pytest.raises(GroupError, match="associativity"):
+        verify_axioms(big)
+    # a group whose generators do not generate it
+    c6 = GroupTable("c6", range(6), lambda a, b: (a + b) % 6, 0, [2])
+    with pytest.raises(GroupError, match="generators"):
+        verify_axioms(c6)
 
 
 def test_order_cap():

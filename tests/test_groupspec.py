@@ -1,6 +1,7 @@
 import pytest
 
 from quadsym.groupspec import (
+    MAX_POINT,
     FamilySpec,
     GroupSpecError,
     PermSpec,
@@ -99,3 +100,13 @@ def test_perm_errors():
         parse_group_spec("perm:[(0 1)]")
     with pytest.raises(GroupSpecError):
         parse_group_spec("perm:[(1 2]")
+
+
+def test_perm_points_are_capped_before_allocation():
+    # a point this large would make the identity a 10^8-entry tuple
+    with pytest.raises(GroupSpecError) as exc:
+        parse_group_spec("perm:[(1 100000000)]")
+    assert exc.value.position == 9
+    with pytest.raises(GroupSpecError):
+        parse_group_spec(f"perm:[(1 2),(3 {MAX_POINT + 1})]")
+    assert parse_group_spec(f"perm:[(1 {MAX_POINT})]") == PermSpec((((1, MAX_POINT),),))
