@@ -8,20 +8,31 @@ P = 1 mod e so F_P contains the needed roots of unity, then recover each
 entry exactly: the eigenvalue multiplicities of a representation at a group
 element are small nonnegative integers, so knowing them mod a large enough P
 pins them down.
+
+The identities on a table are decided without arithmetic in Z[z]: for primes
+P = 1 mod e below 2^24, Phi_e splits mod P into the factors X - w^u (w of
+order e, u a unit mod e), so the phi(e) images under z -> w^u identify Z[z]/P
+with F_P^phi.  An element with coefficients of size at most B vanishes once
+its images vanish mod primes with product Q > 2B, and is recovered from them
+by interpolation and CRT.  With C_e = max over k of |z^k|_1, the determinant
+takes B_det = C_e * prod_i sum_j |chi_ij|_1 (Leibniz), orthogonality B_orth =
+C_e * max sum_j h_j |chi_ij|_1 |chi_i2j|_1 + n, and z -> z^a moves the image
+at u to the image at u * a, which decides the Galois checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt, prod
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .groups import (
     ClassSet, GroupTable, OrderCapExceeded, _seeded_rng, class_power_chains, permutation_parity
 )
 from .ntheory import factorize, is_prime
-from .reciprocity import CheckResult, Discriminant, RealComplexSplit, quadratic_symbol
+from .reciprocity import CheckResult, Discriminant, RealComplexSplit, _check, quadratic_symbol
 
 MAX_CLASSES = 16
 
@@ -94,6 +105,7 @@ class _CycBasis:
                     row[t] += lead * top[t]
             rows.append(tuple(row))
         self.pow_rows = tuple(rows)
+        self.root_norm = max(sum(map(abs, row)) for row in rows[:e])  # C_e
 
 
 @lru_cache(maxsize=None)
@@ -237,172 +249,185 @@ def galois_apply(z: CycInt, a: int) -> CycInt:
     return CycInt(e, tuple(acc))
 
 
-def _conjugate(z: CycInt) -> CycInt:
-    return galois_apply(z, -1)
+# ---------------------------------------------------------------------------
+# Galois embeddings mod P
 
 
-# exact division in Z[z]: cache the inverse of a pivot as an integer
-# polynomial U and a denominator D with pivot * U = D
+@lru_cache(maxsize=None)
+def _units(e: int) -> tuple[int, ...]:
+    return tuple(a for a in range(1, e + 1) if gcd(a, e) == 1)
 
 
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
+def _unit_perm(e: int, a: int) -> np.ndarray:
+    """Embedding index t -> index of units[t] * a: the action of z -> z^a."""
+    units = _units(e)
+    index = {u % e: t for t, u in enumerate(units)}
+    return np.array([index[u * a % e] for u in units])
 
 
-def _cyc_inverse(z: CycInt) -> tuple[tuple[int, ...], int]:
-    if z.is_zero():
-        raise ZeroDivisionError("inverting zero")
-    basis = _basis(z.e)
-    r0 = [Fraction(c) for c in basis.poly]
-    r1 = [Fraction(c) for c in z.coeffs]
-    while len(r1) > 1 and r1[-1] == 0:
-        r1.pop()
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r = _frac_poly_divmod(r0, r1)
-        # s_next = s0 - q * s1
-        s_next = s0[:] + [Fraction(0)] * (len(q) + len(s1) - 1 - len(s0))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    s_next[i + j] -= qi * sj
-        r0, r1 = r1, r
-        s0, s1 = s1, s_next
-    if len(r0) != 1:
-        raise CharTableError(f"zero divisor in Z[z_{z.e}]: {z}")
-    c = r0[0]
-    inv = [si / c for si in s0]
-    inv += [Fraction(0)] * (basis.phi - len(inv))
-    denom = 1
-    for f in inv:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    U = tuple(int(f * denom) for f in inv[: basis.phi])
-    return U, denom
+@lru_cache(maxsize=None)
+def _embedding_prime(e: int, k: int) -> Optional[int]:
+    """The k-th largest prime P = 1 mod e below 2^24, or None if there are fewer."""
+    top = (1 << 24) - 1 if k == 0 else _embedding_prime(e, k - 1) - 1
+    P = top - (top - 1) % e
+    while P > e and not is_prime(P):
+        P -= e
+    return P if P > e else None
 
 
-def _exact_div(num: CycInt, inv: tuple[tuple[int, ...], int]) -> CycInt:
-    U, D = inv
-    basis = _basis(num.e)
-    prod = _coeff_mul(num.coeffs, U, basis)
-    out = []
-    for c in prod:
-        if c % D:
-            raise CharTableError("non-exact division in determinant elimination")
-        out.append(c // D)
-    return CycInt(num.e, tuple(out))
+def _embedding_maps(e: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """vander[t, k] = w^(units[t] * k) mod P, which maps the power basis to
+    the images, and its inverse mod P."""
+    basis = _basis(e)
+    phi = basis.phi
+    w = pow(_primitive_root(P), (P - 1) // e, P)
+    powers = np.array([pow(w, t, P) for t in range(e)], dtype=np.int64)
+    units = np.array(_units(e))
+    vander = powers[np.outer(units, np.arange(phi)) % e]
+    # Lagrange: column t is (Phi_e / (X - x_t)) / Phi_e'(x_t), the quotient
+    # by synthetic division and Phi_e'(x_t) as that quotient at x_t
+    x = powers[units % e]
+    quot = np.empty((phi, phi), dtype=np.int64)
+    quot[phi - 1] = 1
+    for c in range(phi - 1, 0, -1):
+        quot[c - 1] = (basis.poly[c] + x * quot[c]) % P
+    deriv = np.zeros(phi, dtype=np.int64)
+    for c in range(phi - 1, -1, -1):
+        deriv = (deriv * x + quot[c]) % P
+    return vander, quot * np.array([pow(d, -1, P) for d in deriv.tolist()]) % P
+
+
+def _images(rows: Sequence[Sequence[CycInt]], e: int, bound: int, label: str):
+    """For each prime P = 1 mod e in turn, at least one and until their
+    product exceeds 2 * bound: P, the interpolation matrix mod P, and E
+    with E[t] the matrix ``rows`` under z -> w^units[t] mod P."""
+    m = len(rows)
+    phi = _basis(e).phi
+    entries = [z.coeffs for row in rows for z in row]
+    try:
+        coeffs = np.array(entries, dtype=np.int64).reshape(m * m, phi)
+    except OverflowError:  # reduced per prime as Python ints
+        coeffs = np.array(entries, dtype=object).reshape(m * m, phi)
+    Q, P, k = 1, None, 0
+    while k == 0 or Q <= 2 * bound:
+        if _embedding_prime(e, k) is None:
+            raise CharTableError(f"{label}: too few primes 1 mod {e} below 2^24 (last P = {P})")
+        P = _embedding_prime(e, k)
+        # every int64 dot product below sums at most max(phi, m) products
+        assert max(phi, m) * (P - 1) ** 2 < 2**63, (phi, m, P)
+        vander, interp = _embedding_maps(e, P)
+        E = vander @ (coeffs % P).astype(np.int64, copy=False).T
+        E %= P
+        yield P, interp, E.reshape(phi, m, m)
+        Q, k = Q * P, k + 1
+
+
+def _det_stack(A: np.ndarray, P: int) -> np.ndarray:
+    """Determinants mod P of a stack of square matrices, which it overwrites,
+    by fraction-free elimination on all of them at once.  Clearing column k
+    multiplies each later row by the pivot p_k, so det = prod p_k / prod_k
+    p_k^(m-1-k), that denominator being the product of the running products.
+    """
+    A %= P
+    b, m, _ = A.shape
+    stack = np.arange(b)
+    pivots, scale = np.ones(b, dtype=np.int64), np.ones(b, dtype=np.int64)
+    odd = np.zeros(b, dtype=bool)  # an odd number of row swaps
+    for k in range(m):
+        piv = k + (A[:, k:, k] != 0).argmax(axis=1)  # k itself when the column is zero
+        A[stack, k], A[stack, piv] = A[stack, piv], A[stack, k]
+        odd ^= piv != k
+        f = A[:, k + 1 :, k].copy()
+        rest = A[:, k + 1 :, k:]
+        rest *= A[:, k, k, None, None]
+        rest -= f[:, :, None] * A[:, None, k, k:]
+        rest %= P
+        scale = scale * pivots % P
+        pivots = pivots * A[:, k, k] % P
+    det = pivots * np.array([pow(s, P - 2, P) for s in scale.tolist()]) % P  # 0 stays 0
+    return np.where(odd, (P - det) % P, det)
+
+
+def _l1(z: CycInt) -> int:
+    return sum(map(abs, z.coeffs))
+
+
+def _modular_det(rows: Sequence[Sequence[CycInt]], e: int, label: str):
+    """The determinant of a square matrix over Z[z], with the primes and the
+    images of the determinant it was lifted from.
+
+    The bound is B_det = C_e * prod_i sum_j |M_ij|_1, with C_e the largest
+    |z^k|_1 over k < e: the Leibniz expansion, its exponents taken mod e and
+    then reduced once, bounds both |det|_1 and |sigma_a(det)|_1 by it.
+    """
+    bound = _basis(e).root_norm * prod(sum(map(_l1, row)) for row in rows)
+    coeffs, Q, primes, images = [0] * _basis(e).phi, 1, [], []
+    for P, interp, E in _images(rows, e, bound, label):
+        images.append(_det_stack(E, P))
+        residues = (interp @ images[-1] % P).tolist()
+        t = pow(Q, -1, P)
+        coeffs = [x + Q * ((r - x) * t % P) for x, r in zip(coeffs, residues)]
+        Q *= P
+        primes.append(P)
+    det = CycInt(e, tuple(x - Q if 2 * x > Q else x for x in coeffs))
+    return det, np.array(primes), np.array(images)
 
 
 # ---------------------------------------------------------------------------
 # linear algebra mod P
 
 
-def _rref(mat: list[list[int]], P: int) -> tuple[list[list[int]], list[int]]:
-    rows = [r[:] for r in mat]
-    width = len(rows[0]) if rows else 0
+def _rref(mat, P: int) -> tuple[np.ndarray, list[int]]:
+    """The nonzero rows of the reduced row echelon form mod P, and the pivot
+    columns."""
+    A = np.array(mat, dtype=np.int64) % P
     pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % P), None)
-        if pivot is None:
+    for col in range(A.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(A[r:, col])
+        if not below.size:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], -1, P)
-        rows[r] = [x * inv % P for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(x - c * y) % P for x, y in zip(rows[i], rows[r])]
+        A[[r, r + below[0]]] = A[[r + below[0], r]]
+        A[r] = A[r] * pow(int(A[r, col]), -1, P) % P
+        f = A[:, col].copy()
+        f[r] = 0
+        A = (A - f[:, None] * A[r]) % P
         pivots.append(col)
-        r += 1
-    return rows[:r], pivots
+    return A[: len(pivots)], pivots
 
 
-def _nullspace(mat: list[list[int]], P: int) -> list[list[int]]:
-    d = len(mat)
+def _nullspace(mat: np.ndarray, P: int) -> np.ndarray:
     rref, pivots = _rref(mat, P)
-    free = [c for c in range(d) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * d
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -rref[i][f] % P
-        basis.append(v)
+    free = [c for c in range(rref.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), rref.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rref[:, free].T % P
     return basis
 
 
-def _mat_vec(mat: list[list[int]], v: list[int], P: int) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) % P for row in mat]
-
-
-def _restrict(mat: list[list[int]], basis: list[list[int]], pivots: list[int], P: int):
-    """Matrix of ``mat`` on the span of ``basis`` (which must be invariant
+def _restrict(R: np.ndarray, basis: np.ndarray, pivots: list[int], P: int) -> np.ndarray:
+    """Matrix of ``R`` on the span of ``basis`` (which must be invariant
     and in reduced echelon form), in basis coordinates."""
-    d = len(basis)
-    cols = []
-    for b in basis:
-        w = _mat_vec(mat, b, P)
-        coords = [w[p] for p in pivots]
-        for t, c in enumerate(coords):
-            if c:
-                w = [(x - c * y) % P for x, y in zip(w, basis[t])]
-        if any(w):
-            raise CharTableError("subspace is not invariant; splitting is inconsistent")
-        cols.append(coords)
-    return [[cols[s][t] for s in range(d)] for t in range(d)]
-
-
-def _det_mod(mat: list[list[int]], P: int) -> int:
-    a = [r[:] for r in mat]
-    d = len(a)
-    det = 1
-    for k in range(d):
-        pivot = next((i for i in range(k, d) if a[i][k] % P), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det = det * a[k][k] % P
-        inv = pow(a[k][k], -1, P)
-        for i in range(k + 1, d):
-            if a[i][k]:
-                c = a[i][k] * inv % P
-                a[i] = [(x - c * y) % P for x, y in zip(a[i], a[k])]
-    return det % P
+    images = basis @ R.T % P
+    coords = images[:, pivots]
+    if ((images - coords @ basis) % P).any():
+        raise CharTableError("subspace is not invariant; splitting is inconsistent")
+    return coords.T
 
 
 def _split_space(space, R, P):
     basis, pivots = space
     d = len(basis)
     T = _restrict(R, basis, pivots, P)
+    eye = np.eye(d, dtype=np.int64)
     pieces = []
     found = 0
     for lam in range(P):
-        shifted = [[(T[i][j] - (lam if i == j else 0)) % P for j in range(d)] for i in range(d)]
-        if _det_mod(shifted, P):
+        if lam % 16 == 0:  # det(T - lam) for the next 16 values at once
+            dets = _det_stack(T - np.arange(lam, min(lam + 16, P))[:, None, None] * eye, P)
+        if dets[lam % 16]:
             continue
-        null = _nullspace(shifted, P)
-        vecs = []
-        for coords in null:
-            v = [0] * len(basis[0])
-            for t, c in enumerate(coords):
-                if c:
-                    for x in range(len(v)):
-                        v[x] = (v[x] + c * basis[t][x]) % P
-            vecs.append(v)
-        sub_rref, sub_pivots = _rref(vecs, P)
+        sub_rref, sub_pivots = _rref(_nullspace((T - lam * eye) % P, P) @ basis % P, P)
         pieces.append((sub_rref, sub_pivots))
         found += len(sub_rref)
         if found == d:
@@ -414,19 +439,14 @@ def _split_space(space, R, P):
 
 def _common_eigenvectors(Ns, P, label, seed):
     m = len(Ns)
-    full = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     for attempt in range(4):
         rng = _seeded_rng(seed, label, f"split:{attempt}")
-        spaces = [(full, list(range(m)))]
+        spaces = [(np.eye(m, dtype=np.int64), list(range(m)))]
         try:
             for _ in range(60):
                 if all(len(b) == 1 for b, _ in spaces):
                     break
-                coeffs = [rng.randrange(P) for _ in range(m)]
-                R = [
-                    [sum(coeffs[i] * Ns[i][j][k] for i in range(m)) % P for k in range(m)]
-                    for j in range(m)
-                ]
+                R = np.tensordot([rng.randrange(P) for _ in range(m)], Ns, 1) % P
                 refined = []
                 for space in spaces:
                     if len(space[0]) == 1:
@@ -437,10 +457,10 @@ def _common_eigenvectors(Ns, P, label, seed):
         except CharTableError:
             continue
         if all(len(b) == 1 for b, _ in spaces):
-            vecs = [b[0] for b, _ in spaces]
+            vecs = [b[0].tolist() for b, _ in spaces]
             if len({tuple(v) for v in vecs}) == m:
                 return vecs
-    raise CharTableError(f"eigenspace splitting did not converge for {label!r}")
+    raise CharTableError(f"{label}: eigenspace splitting did not converge in 4 attempts (P = {P})")
 
 
 def _choose_prime(e: int, n: int) -> int:
@@ -459,13 +479,6 @@ def _primitive_root(P: int) -> int:
         if all(pow(g, (P - 1) // p, P) != 1 for p in prime_parts):
             return g
     raise CharTableError(f"no primitive root mod {P}")
-
-
-def _sqrt_mod(v: int, P: int) -> int:
-    for r in range((P + 1) // 2):
-        if r * r % P == v:
-            return r
-    raise CharTableError(f"{v} is not a square mod {P}")
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +525,18 @@ def character_table(
 
     P = _choose_prime(e, n)
     cls_pos = [pos[S.class_of[x]] for x in range(n)]
-    Ns = [[[0] * m for _ in range(m)] for _ in range(m)]
+    Ns = np.zeros((m, m, m), dtype=np.int64)
     for k in range(m):
-        z = reps[k]
-        for x in range(n):
-            row = Ns[cls_pos[x]]
-            row[cls_pos[G.multiply(G.inverse[x], z)]][k] += 1
+        targets = [cls_pos[G.multiply(G.inverse[x], reps[k])] for x in range(n)]
+        np.add.at(Ns[:, :, k], (cls_pos, targets), 1)
 
     raw = _common_eigenvectors(Ns, P, G.label, seed)
     omegas = []
     for v in raw:
         if v[0] == 0:
-            raise CharTableError("central character vanishes on the identity class")
+            raise CharTableError(
+                f"{G.label}: a central character vanishes on the identity class (P = {P})"
+            )
         inv0 = pow(v[0], -1, P)
         omegas.append([x * inv0 % P for x in v])
 
@@ -532,42 +545,43 @@ def character_table(
     for w in omegas:
         s = sum(w[j] * w[inv_pos[j]] * size_inv[j] for j in range(m)) % P
         if s == 0:
-            raise CharTableError("degree sum vanished mod P")
+            raise CharTableError(f"{G.label}: a degree sum vanished (P = {P})")
         d2 = n * pow(s, -1, P) % P
-        degrees.append(_sqrt_mod(d2, P))
+        deg = next((r for r in range((P + 1) // 2) if r * r % P == d2), None)
+        if deg is None:
+            raise CharTableError(f"{G.label}: the squared degree {d2} is not a square (P = {P})")
+        degrees.append(deg)
     if sum(d * d for d in degrees) != n:
-        raise CharTableError(f"degrees {degrees} are inconsistent with n={n}")
+        raise CharTableError(f"{G.label}: degrees {degrees} are inconsistent with n={n} (P = {P})")
 
-    g = _primitive_root(P)
-    root_e = pow(g, (P - 1) // e, P)
-    inv_root_e = pow(root_e, -1, P)
-
-    rows = []
-    for w, deg in zip(omegas, degrees):
-        chi_mod = [deg * w[j] * size_inv[j] % P for j in range(m)]
-        row = []
-        for j in range(m):
-            o = rep_orders[j]
-            step = e // o
-            wo_inv = pow(inv_root_e, step, P)
-            o_inv = pow(o, -1, P)
-            entry = CycInt.integer(e, 0)
-            for k in range(o):
-                mu = 0
-                base = pow(wo_inv, k, P)
-                acc = 1
-                for t in range(o):
-                    mu += chi_mod[chains[j][t]] * acc
-                    acc = acc * base % P
-                mu = mu * o_inv % P
-                if mu > deg:
-                    raise CharTableError(
-                        f"eigenvalue multiplicity {mu} exceeds the degree {deg}"
-                    )
-                if mu:
-                    entry = entry + mu * CycInt.root_power(e, step * k)
-            row.append(entry)
-        rows.append(row)
+    # every int64 dot product here and in the splitting sums at most
+    # max(e, m) products of residues
+    assert max(e, m) * (P - 1) ** 2 < 2**63, (e, m, P)
+    inv_root_e = pow(_primitive_root(P), -((P - 1) // e), P)
+    inv_powers = np.array([pow(inv_root_e, t, P) for t in range(e)], dtype=np.int64)
+    basis = _basis(e)
+    chi_mod = np.array(
+        [[deg * w[j] * size_inv[j] % P for j in range(m)] for w, deg in zip(omegas, degrees)],
+        dtype=np.int64,
+    )
+    degs = np.array(degrees)
+    coeffs = np.empty((m, m, basis.phi), dtype=np.int64)
+    for j in range(m):
+        # mu[i, k]: the multiplicity of w^(step * k) as an eigenvalue of
+        # character i at rep_j, a discrete Fourier coefficient along its powers
+        o = rep_orders[j]
+        step, k = e // o, np.arange(o)
+        mu = chi_mod[:, chains[j]] @ inv_powers[np.outer(k, k) * step % e] % P
+        mu = mu * pow(o, -1, P) % P
+        over = np.argwhere(mu > degs[:, None])
+        if over.size:
+            i, t = over[0]
+            raise CharTableError(
+                f"{G.label}: eigenvalue multiplicity {mu[i, t]} exceeds the degree {degs[i]} "
+                f"(P = {P})"
+            )
+        coeffs[:, j] = mu @ np.array([basis.pow_rows[step * t] for t in range(o)])
+    rows = [[CycInt(e, tuple(z)) for z in row] for row in coeffs.tolist()]
 
     order_key = lambda pair: (
         pair[0],
@@ -586,54 +600,40 @@ def character_table(
 
 
 def verify_orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable) -> None:
-    """Row and column orthogonality with exact cyclotomic arithmetic."""
-    m = T.m
-    n = G.n
-    sizes = [S.classes[j].size for j in T.class_order]
-    conj = [[_conjugate(z) for z in row] for row in T.entries]
-    for i in range(m):
-        for i2 in range(i, m):
-            total = CycInt.integer(T.conductor, 0)
-            for j in range(m):
-                total = total + sizes[j] * (T.entries[i][j] * conj[i2][j])
-            want = n if i == i2 else 0
-            if total != want:
-                raise CharTableError(
-                    f"row orthogonality fails at rows {i}, {i2}: got {total}, want {want}"
-                )
-    for j in range(m):
-        for j2 in range(j, m):
-            total = CycInt.integer(T.conductor, 0)
-            for i in range(m):
-                total = total + T.entries[i][j] * conj[i][j2]
-            want = n // sizes[j] if j == j2 else 0
-            if total != want:
-                raise CharTableError(
-                    f"column orthogonality fails at columns {j}, {j2}: got {total}, want {want}"
-                )
-
-
-def _bareiss_det(M: list[list[CycInt]], e: int) -> CycInt:
-    m = len(M)
-    if m == 0:
-        return CycInt.integer(e, 1)
-    A = [row[:] for row in M]
-    sign = 1
-    prev_inv: Optional[tuple[tuple[int, ...], int]] = None
-    for k in range(m - 1):
-        if A[k][k].is_zero():
-            swap = next((r for r in range(k + 1, m) if not A[r][k].is_zero()), None)
-            if swap is None:
-                return CycInt.integer(e, 0)
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                num = A[k][k] * A[i][j] - A[i][k] * A[k][j]
-                A[i][j] = num if prev_inv is None else _exact_div(num, prev_inv)
-        prev_inv = _cyc_inverse(A[k][k])
-    det = A[m - 1][m - 1]
-    return det if sign == 1 else -det
+    """Row and column orthogonality, decided exactly on the embeddings mod P
+    under B_orth, which bounds the row and the column relations alike."""
+    m, n, e = T.m, G.n, T.conductor
+    sizes = np.array([S.classes[j].size for j in T.class_order])
+    norms = np.array([[_l1(z) for z in row] for row in T.entries], dtype=object)
+    sums = max(((norms * sizes) @ norms.T).max(), (norms.T @ norms).max())
+    wants = {"row": n * np.eye(m, dtype=np.int64), "column": np.diag(n // sizes)}
+    found = list(_images(T.entries, e, _basis(e).root_norm * sums + n, T.label))
+    primes = np.array([P for P, _, _ in found])
+    E = np.stack([E for _, _, E in found])
+    P = primes.reshape(-1, 1, 1, 1)
+    # the relations at -u are the transposes of those at u: half the units do
+    half = [t for t, u in enumerate(_units(e)) if 2 * (u % e) <= e]
+    E, conj = E[:, half], E[:, _unit_perm(e, -1)[half]]
+    got = {
+        "row": np.matmul(E * sizes % P, conj.swapaxes(-1, -2)) % P,
+        "column": np.matmul(E.swapaxes(-1, -2), conj) % P,
+    }
+    for kind, want in wants.items():
+        bad = (got[kind] != want % P).any(axis=1)  # per prime
+        bad |= bad.swapaxes(-1, -2)
+        first = np.triu(bad.any(axis=0))
+        if not first.any():
+            continue
+        a, b = (int(x) for x in np.argwhere(first)[0])
+        if kind == "row":
+            terms = [(int(sizes[j]), T.entries[a][j], T.entries[b][j]) for j in range(m)]
+        else:
+            terms = [(1, T.entries[i][a], T.entries[i][b]) for i in range(m)]
+        total = sum((h * (x * galois_apply(y, -1)) for h, x, y in terms), CycInt.integer(e, 0))
+        raise CharTableError(
+            f"{T.label}: {kind} orthogonality fails at {kind}s {a}, {b}: "
+            f"got {total}, want {int(want[a, b])} (P = {primes[bad[:, a, b].argmax()]})"
+        )
 
 
 @dataclass(frozen=True)
@@ -660,76 +660,57 @@ def det_identities(
     Checks: det^2 is a rational integer equal to ell^2 * d for a positive
     integer ell; conjugation scales det by the symbol at -1; every Galois
     automorphism z -> z^a scales det by the symbol at a, because it permutes
-    the columns by the class power map; det^2 is 0 or 1 mod 4.
+    the columns by the class power map; det^2 is 0 or 1 mod 4.  The Galois
+    checks compare images: z -> z^a moves the image at unit u to u * a.
     """
-    from math import isqrt
-
     e = T.conductor
     m = T.m
-    det = _bareiss_det([list(row) for row in T.entries], e)
+    det, primes, s = _modular_det(T.entries, e, T.label)
     checks = []
 
-    d2_ok = (det * det).is_rational()
-    det_squared = (det * det).to_int() if d2_ok else 0
+    det2 = det * det
+    d2_ok = det2.is_rational()
+    det_squared = det2.to_int() if d2_ok else 0
     ell = 0
     dval = D.value.value()
     if d2_ok and det_squared % dval == 0:
         q, rem = divmod(det_squared, dval)
         ell = isqrt(q) if q >= 0 else 0
     ratio_ok = d2_ok and ell >= 1 and ell * ell * dval == det_squared
-    checks.append(
-        CheckResult(
-            "det_squared_is_ell2_d",
-            ratio_ok,
-            None if ratio_ok else f"det^2 = {det * det}, d = {dval}",
-        )
-    )
+    checks.append(_check("det_squared_is_ell2_d", ratio_ok, f"det^2 = {det2}, d = {dval}"))
+
+    def scales_det(a: int, sym: int) -> bool:
+        return not ((s[:, _unit_perm(e, a)] - sym * s) % primes[:, None]).any()
 
     sym_minus1 = quadratic_symbol(G, S, -1)
-    conj_ok = _conjugate(det) == det * sym_minus1
-    checks.append(
-        CheckResult(
-            "conjugate_det",
-            conj_ok,
-            None if conj_ok else f"conj(det) != ({sym_minus1}) * det",
-        )
-    )
+    conj_ok = scales_det(-1, sym_minus1)
+    checks.append(_check("conjugate_det", conj_ok, f"conj(det) != ({sym_minus1}) * det"))
 
     rep_orders = [S.classes[j].rep_order for j in T.class_order]
     pos = {j: t for t, j in enumerate(T.class_order)}
     native_chains = class_power_chains(G, S)
     chains = [tuple(pos[c] for c in native_chains[j]) for j in T.class_order]
-    units = [a for a in range(1, e + 1) if gcd(a, e) == 1]
-    galois_ok = True
-    column_ok = True
+    # sigma_a(chi_ij) - chi_ik has coefficients below 2 * C_e * max |chi|_1
+    col_bound = _basis(e).root_norm * max(_l1(z) for row in T.entries for z in row)
+    E = np.stack([E for _, _, E in _images(T.entries, e, col_bound, T.label)])
     galois_witness = column_witness = None
-    for a in units:
+    for a in _units(e):
         colmap = [chains[j][a % rep_orders[j]] for j in range(m)]
-        for i in range(m):
-            for j in range(m):
-                img = galois_apply(T.entries[i][j], a)
-                if img != T.entries[i][colmap[j]]:
-                    column_ok = False
-                    column_witness = f"a = {a}, row {i}, column {j}"
-                    break
-            if not column_ok:
-                break
+        moved = (E[:, _unit_perm(e, a)] != E[..., colmap]).reshape(-1, m * m).any(axis=0)
+        if moved.any():
+            i, j = divmod(int(moved.argmax()), m)
+            column_witness = f"a = {a}, row {i}, column {j}"
         sym = permutation_parity(colmap)
-        if galois_apply(det, a) != det * sym:
-            galois_ok = False
+        if not scales_det(a, sym):
             galois_witness = f"a = {a}, symbol {sym}"
-        if not (galois_ok and column_ok):
+        if galois_witness or column_witness:
             break
-    checks.append(CheckResult("galois_scales_det_by_symbol", galois_ok, galois_witness))
-    checks.append(CheckResult("galois_permutes_columns", column_ok, column_witness))
+    checks.append(CheckResult("galois_scales_det_by_symbol", not galois_witness, galois_witness))
+    checks.append(CheckResult("galois_permutes_columns", not column_witness, column_witness))
 
     mod4_ok = d2_ok and det_squared % 4 in (0, 1)
     checks.append(
-        CheckResult(
-            "det_squared_mod_4",
-            mod4_ok,
-            None if mod4_ok else f"det^2 = {det_squared} = {det_squared % 4} mod 4",
-        )
+        _check("det_squared_mod_4", mod4_ok, f"det^2 = {det_squared} = {det_squared % 4} mod 4")
     )
     return DetReport(det=det, det_squared=det_squared, ell=ell, checks=tuple(checks))
 

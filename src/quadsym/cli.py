@@ -46,18 +46,38 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
+# the exit code of each error a command may raise, first match wins
+_EXIT_CODES = (
+    (GroupSpecError, EXIT_USAGE),
+    (OrderCapExceeded, EXIT_CAP),
+    (GroupError, EXIT_CHECK_FAILED),
+    (chartab.CharTableError, EXIT_CHECK_FAILED),
+    (ValueError, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
+)
+_ERRORS = tuple(kind for kind, _ in _EXIT_CODES)
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+
+
+def _default_catalog_text() -> str:
+    return resources.files("quadsym").joinpath("data/catalog.txt").read_text()
+
+
 def default_catalog() -> list[str]:
-    text = resources.files("quadsym").joinpath("data/catalog.txt").read_text()
-    return load_catalog(text)
+    return load_catalog(_default_catalog_text())
+
+
+def _numbered_catalog(text: str) -> list[tuple[int, str]]:
+    """(line number, spec) for each line that is not blank or a comment."""
+    lines = ((k, line.strip()) for k, line in enumerate(text.splitlines(), 1))
+    return [(k, line) for k, line in lines if line and not line.startswith("#")]
 
 
 def load_catalog(text: str) -> list[str]:
-    specs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            specs.append(line)
-    return specs
+    return [spec for _, spec in _numbered_catalog(text)]
 
 
 def _d_json(d: FactoredInt) -> dict:
@@ -239,16 +259,21 @@ def _cmd_verify(args) -> int:
         return code
     if args.catalog is not None:
         with open(args.catalog) as fh:
-            specs = load_catalog(fh.read())
+            text = fh.read()
     else:
-        specs = default_catalog()
+        text = _default_catalog_text()
+    specs = _numbered_catalog(text)
     worst = EXIT_OK
     failed = 0
-    for label in specs:
-        _, code = _verify_one(label, args)
+    for lineno, label in specs:
+        try:
+            _, code = _verify_one(label, args)
+        except _ERRORS as exc:
+            print(f"error: line {lineno}: {label}: {exc}", file=sys.stderr)
+            code = _exit_code(exc)
         if code != EXIT_OK:
             failed += 1
-            worst = EXIT_CHECK_FAILED
+            worst = max(worst, code)
     if not args.json:
         print(f"{len(specs)} groups, {len(specs) - failed} ok, {failed} failed")
     return worst
@@ -365,18 +390,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except GroupSpecError as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OrderCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (GroupError, chartab.CharTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(exc)
 
 
 def run() -> None:

@@ -7,7 +7,6 @@ stable across runs, and everything downstream works on indices 0..n-1.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -46,8 +45,8 @@ class GroupError(RuntimeError):
 
 
 def _seeded_rng(seed: int, label: str, salt: str = "") -> random.Random:
-    key = f"{seed}:{label}:{salt}".encode()
-    return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+    # a str seed is hashed with sha512 by random itself, the same on every run
+    return random.Random(f"{seed}:{label}:{salt}")
 
 
 class GroupTable:
@@ -462,12 +461,12 @@ def class_power_chains(G: GroupTable, S: ClassSet) -> tuple[tuple[int, ...], ...
 
 
 def class_power_map(G: GroupTable, S: ClassSet, a: int) -> tuple[int, ...]:
-    """The permutation j -> class of (rep_j)^a, for a coprime to the order."""
+    """The permutation j -> class of (rep_j)^a, for a coprime to the order:
+    one power per class (``class_power_chains`` tabulates every exponent)."""
     b = a % G.n if G.n > 0 else 0
     if math.gcd(b, G.n) != 1:
         raise ValueError(f"{a} is not coprime to the group order {G.n}")
-    chains = class_power_chains(G, S)
-    return tuple(chain[b % c.rep_order] for chain, c in zip(chains, S.classes))
+    return tuple(S.class_of[G.power(c.rep, b % c.rep_order)] for c in S.classes)
 
 
 def permutation_parity(p: Sequence[int]) -> int:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -7,7 +9,7 @@ from quadsym.chartab import (
     CharTableError,
     CharacterTable,
     CycInt,
-    _cyc_inverse,
+    _modular_det,
     character_table,
     cyclotomic_polynomial,
     det_identities,
@@ -111,17 +113,38 @@ def test_galois_is_a_ring_automorphism():
         galois_apply(CycInt.integer(12, 1), 4)
 
 
-def test_cyc_inverse_round_trip():
+def leibniz_det(rows, e):
+    m = len(rows)
+    total = CycInt.integer(e, 0)
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        term = CycInt.integer(e, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def test_modular_det_matches_leibniz():
     rng = random.Random(31)
-    for e in (4, 5, 12):
+    big = 10**6
+    for e in (1, 2, 4, 5, 12, 105):
         phi = len(cyclotomic_polynomial(e)) - 1
-        for _ in range(40):
-            z = CycInt(e, tuple(rng.randrange(-6, 7) for _ in range(phi)))
-            if z.is_zero():
-                continue
-            U, D = _cyc_inverse(z)
-            prod = z * CycInt(e, U)
-            assert prod == D, (e, z)
+        rand = lambda: CycInt(e, tuple(rng.randrange(-big, big + 1) for _ in range(phi)))
+        for m in range(1, 6):
+            rows = [[rand() for _ in range(m)] for _ in range(m)]
+            det, primes, _ = _modular_det(rows, e, "random")
+            assert det == leibniz_det(rows, e), (e, m)
+            if m > 1:
+                assert len(primes) >= 2, (e, m)
+        # a zero (0, 0) entry forces a row swap in every image
+        rows = [[rand() for _ in range(3)] for _ in range(3)]
+        rows[0][0] = CycInt.integer(e, 0)
+        assert _modular_det(rows, e, "swap")[0] == leibniz_det(rows, e), e
+        # the third row is a Z[z]-combination of the first two
+        u, v = rand(), rand()
+        rows[2] = [u * a + v * b for a, b in zip(rows[0], rows[1])]
+        assert _modular_det(rows, e, "singular")[0] == 0, e
 
 
 def test_cyclic_tables_match_roots_of_unity(build):
@@ -207,8 +230,37 @@ def test_orthogonality_detects_corruption(build):
         degrees=T.degrees,
         entries=tuple(tuple(r) for r in bad_rows),
     )
-    with pytest.raises(CharTableError):
+    with pytest.raises(CharTableError) as exc:
         verify_orthogonality(b.G, b.S, bad)
+    message = str(exc.value)
+    assert message.startswith("sym:3: row orthogonality fails at rows 0, 2: got 3, want 0")
+    assert "P = " in message
+    # a coefficient past int64 is reduced mod each prime as a Python int
+    bad_rows = [list(r) for r in T.entries]
+    bad_rows[1][0] = bad_rows[1][0] + 10**40
+    with pytest.raises(CharTableError, match=f"rows 0, 1: got {10**40}, want 0"):
+        verify_orthogonality(b.G, b.S, dataclasses.replace(T, entries=tuple(map(tuple, bad_rows))))
+
+
+def test_det_identities_detect_corruption(build):
+    # the last row of cyclic:5 times z: det picks up a factor z, so det^2 is
+    # irrational and z -> z^a no longer permutes the columns
+    b, T = table_for(build, "cyclic:5")
+    z = CycInt.root_power(5, 1)
+    rows = T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),)
+    report = det_identities(b.G, b.S, b.split, dataclasses.replace(T, entries=rows), b.D)
+    assert [(c.name, c.ok, c.witness) for c in report.checks] == [
+        ("det_squared_is_ell2_d", False, "det^2 = 3125*z^2, d = 5"),
+        ("conjugate_det", False, "conj(det) != (1) * det"),
+        ("galois_scales_det_by_symbol", False, "a = 2, symbol -1"),
+        ("galois_permutes_columns", False, "a = 2, row 4, column 0"),
+        ("det_squared_mod_4", False, "det^2 = 0 = 0 mod 4"),
+    ]
+    # a zero row bounds det by 0, which still takes one prime
+    rows = T.entries[:-1] + ((CycInt.integer(5, 0),) * 5,)
+    report = det_identities(b.G, b.S, b.split, dataclasses.replace(T, entries=rows), b.D)
+    assert report.det == 0
+    assert [c.name for c in report.checks if not c.ok] == ["det_squared_is_ell2_d"]
 
 
 def test_det_squared_matches_vandermonde_formula(build):
@@ -237,6 +289,15 @@ def test_det_identities_hand_values(build):
         assert det.ok, [c for c in det.checks if not c.ok]
         assert (det.det_squared, det.ell) == (det2, ell), label
         assert det.det_squared == ell * ell * b.D.value.value()
+
+
+def test_sl2_16_past_the_class_cap(build):
+    b = build("sl2:16")
+    T = character_table(b.G, b.S, b.split, max_classes=17)
+    verify_orthogonality(b.G, b.S, T)
+    det = det_identities(b.G, b.S, b.split, T, b.D)
+    assert det.ok, [c for c in det.checks if not c.ok]
+    assert (det.det_squared, det.ell) == (b.D.value.value(), 1)
 
 
 def test_class_count_cap(build):

@@ -85,6 +85,20 @@ def test_verify_catalog_file(tmp_path, capsys):
     assert json.loads(lines[1])["label"] == "q8"
 
 
+def test_verify_catalog_keeps_going_past_a_bad_line(tmp_path, capsys):
+    path = tmp_path / "cat.txt"
+    path.write_text("cyclic:3\nwat:3\ncyclic:5\n")
+    code, out, err = run(capsys, "verify", "--catalog", str(path))
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["cyclic:3", "cyclic:5"]
+    assert lines[2] == "3 groups, 2 ok, 1 failed"
+    assert err == "error: line 2: wat:3: unknown family 'wat' at position 0\n"
+    code, out, _ = run(capsys, "verify", "--catalog", str(path), "--json")
+    assert code == 2
+    assert [json.loads(line)["label"] for line in out.splitlines()] == ["cyclic:3", "cyclic:5"]
+
+
 def test_chartab_json(capsys):
     code, out, _ = run(capsys, "chartab", "sym:3", "--json")
     assert code == 0

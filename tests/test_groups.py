@@ -245,6 +245,31 @@ def test_class_power_map_properties():
             class_power_map(G, S, 0)
 
 
+def test_class_power_map_is_one_power_per_class(monkeypatch):
+    # in cyclic:101 the chains alone take 10 101 multiplies, the budget 1 414
+    for text in ["sym:4", "q8", "cyclic:2*alt:5", "cyclic:101"]:
+        G = group(text)
+        S = conjugacy_classes(G)
+        chains = class_power_chains(G, S)
+        calls = 0
+        multiply = G.multiply
+
+        def counting(i, j):
+            nonlocal calls
+            calls += 1
+            return multiply(i, j)
+
+        monkeypatch.setattr(G, "multiply", counting)
+        budget = S.m * 2 * math.ceil(math.log2(G.n))
+        for a in range(1, G.n):
+            if math.gcd(a, G.n) != 1:
+                continue
+            calls = 0
+            want = tuple(chain[a % c.rep_order] for chain, c in zip(chains, S.classes))
+            assert class_power_map(G, S, a) == want, (text, a)
+            assert calls <= budget, (text, a, calls)
+
+
 def test_permutation_parity():
     def by_inversions(p):
         inv = sum(
