@@ -524,10 +524,11 @@ def character_table(
     chains = [tuple(pos[c] for c in native_chains[j]) for j in cols]
 
     P = _choose_prime(e, n)
-    cls_pos = [pos[S.class_of[x]] for x in range(n)]
+    cls_pos = np.array([pos[S.class_of[x]] for x in range(n)])
+    inverse = np.array(G.inverse)
     Ns = np.zeros((m, m, m), dtype=np.int64)
     for k in range(m):
-        targets = [cls_pos[G.multiply(G.inverse[x], reps[k])] for x in range(n)]
+        targets = cls_pos[G.multiply_many(inverse, reps[k])]
         np.add.at(Ns[:, :, k], (cls_pos, targets), 1)
 
     raw = _common_eigenvectors(Ns, P, G.label, seed)

@@ -4,6 +4,15 @@ A group is built by closing a generating set of concretely encoded elements
 (integers, tuples of integers, permutation images, 2x2 matrix entries) under
 multiplication.  Elements are then sorted by their encoding, so indices are
 stable across runs, and everything downstream works on indices 0..n-1.
+
+Each element also has a row: its encoding flattened to integers, stored in
+the n x w array ``GroupTable.rows``.  A family's product maps two arrays of
+rows, shapes (..., w) broadcast together, to one: modular addition, a twisted
+sum (dihedral, quaternion), a gather of permutation images or of GF(2^r)
+products, or both halves of a row for a direct product.  ``multiply_many``
+looks the product rows up exactly among the stored rows (by their bytes,
+binary search in the sorted keys), so closure, orders, classes, power maps
+and the axiom check multiply whole index arrays at once.
 """
 from __future__ import annotations
 
@@ -15,7 +24,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .groupspec import (
-    FamilySpec,
     GroupSpec,
     PermSpec,
     ProductSpec,
@@ -24,6 +32,10 @@ from .groupspec import (
 
 DEFAULT_MAX_ORDER = 5040
 _EXHAUSTIVE_LIMIT = 1024
+# row entries multiplied per numpy pass; bounds the temporaries of a large batch
+_BLOCK_VALUES = 1 << 16
+
+Product = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class OrderCapExceeded(RuntimeError):
@@ -49,188 +61,234 @@ def _seeded_rng(seed: int, label: str, salt: str = "") -> random.Random:
     return random.Random(f"{seed}:{label}:{salt}")
 
 
+def _flat(enc: object) -> tuple[int, ...]:
+    """An encoding's row: its integers in order, nested tuples flattened."""
+    if isinstance(enc, (tuple, list)):
+        return tuple(v for part in enc for v in _flat(part))
+    return (enc,)  # type: ignore[return-value]
+
+
+def _keys(rows: np.ndarray, dtype) -> np.ndarray:
+    """One opaque key per row of a (..., w) array, equal exactly when the rows
+    are: the row's bytes, read as one int64 when they fit in eight."""
+    rows = np.ascontiguousarray(rows, dtype)
+    size = rows.itemsize * rows.shape[-1]
+    if size > 8:
+        return rows.view(np.dtype((np.void, size)))[..., 0]
+    word = np.zeros(rows.shape[:-1] + (8,), np.uint8)
+    word[..., :size] = rows.view(np.uint8)
+    return word.view(np.int64)[..., 0]
+
+
+def _dtype(bound: int) -> type:
+    # row values stay below bound; a family product may form sums up to 2 * bound
+    return np.int8 if bound < 2**6 else np.int16 if bound < 2**14 else np.int64
+
+
 class GroupTable:
     """A finite group with elements indexed 0..n-1 in encoding order.
 
-    Exposes multiplication (of encodings, looked up in ``index``), inversion,
-    element orders and powers.  The raw encodings stay available through
-    ``elements`` for printing and for building direct products.
+    ``elements`` holds the encodings (for printing and for building direct
+    products) and ``rows`` the same elements as an n x w integer array.
+    ``mul`` multiplies two arrays of rows, shapes (..., w) broadcast together,
+    and returns the product rows; ``identity`` and ``generators`` are
+    encodings.  Rows default to the flattened encodings.
     """
 
     def __init__(
         self,
         label: str,
         elements: Sequence[object],
-        mul_enc: Callable[[object, object], object],
-        identity_enc: object,
-        generator_encs: Sequence[object],
+        mul: Product,
+        identity: object,
+        generators: Sequence[object],
         spec: Optional[GroupSpec] = None,
+        rows: Optional[np.ndarray] = None,
     ):
         self.label = label
         self.spec = spec
         self.elements = tuple(elements)
         self.n = len(self.elements)
-        self.index = {enc: i for i, enc in enumerate(self.elements)}
-        if len(self.index) != self.n:
+        if rows is None:
+            rows = np.array([_flat(x) for x in self.elements]).reshape(self.n, -1)
+        self.rows = rows
+        self._mul = mul
+        keys = _keys(rows, rows.dtype)
+        self._slot = keys.argsort(kind="stable").astype(np.int16 if self.n < 2**15 else np.intp)
+        self._sorted = keys[self._slot]
+        if (self._sorted[1:] == self._sorted[:-1]).any():
             raise GroupError(f"duplicate encodings in {label!r}")
-        self.identity_index = self.index[identity_enc]
-        gens = []
-        for g in generator_encs:
-            i = self.index[g]
-            if i not in gens:
-                gens.append(i)
-        if not gens:
-            gens = [self.identity_index]
-        self.generators = tuple(gens)
-        self._mul_enc = mul_enc
+        named = [identity, *generators]
+        found, miss = self._locate(np.array([_flat(x) for x in named]))
+        if miss.any():
+            raise GroupError(f"{label!r}: {named[miss.argmax()]} is not an element")
+        self.identity_index = int(found[0])
+        self.generators = tuple(dict.fromkeys(found[1:].tolist())) or (self.identity_index,)
         self._init_orders()
 
+    def _locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the given rows, and a mask of the rows that are not elements."""
+        keys = _keys(rows, self.rows.dtype)
+        pos = self._sorted.searchsorted(keys)
+        return self._slot.take(pos, mode="clip"), self._sorted.take(pos, mode="clip") != keys
+
+    def multiply_many(self, I, J) -> np.ndarray:
+        """Indices of the products I * J, elementwise over the broadcast index
+        arrays; a large batch goes through the product a block at a time."""
+        I, J = np.asarray(I), np.asarray(J)
+        width = self.rows.shape[1]
+        if np.broadcast(I, J).size * width <= _BLOCK_VALUES:
+            return self._multiply(I, J)
+        I, J = np.broadcast_arrays(I, J)
+        step = max(1, _BLOCK_VALUES * len(I) // (I.size * width))
+        return np.concatenate([self._multiply(I[s : s + step], J[s : s + step]) for s in range(0, len(I), step)])
+
+    def _multiply(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        found, miss = self._locate(self._mul(self.rows[I], self.rows[J]))
+        if miss.any():
+            at = np.unravel_index(miss.argmax(), miss.shape)
+            x, y = (int(np.broadcast_to(X, miss.shape)[at]) for X in (I, J))
+            raise GroupError(
+                f"{self.label!r}: the product of elements {x} and {y} "
+                f"({self.element_repr(x)} * {self.element_repr(y)}) is not an element"
+            )
+        return found
+
+    def power_many(self, I, k) -> np.ndarray:
+        """Indices of I[t] ** k, for one exponent 0 <= k, by squaring."""
+        base = np.array(I, dtype=np.intp)
+        out = np.full_like(base, self.identity_index)
+        while k:
+            if k & 1:
+                out = self.multiply_many(out, base)
+            k >>= 1
+            if k:
+                base = self.multiply_many(base, base)
+        return out
+
     def _init_orders(self) -> None:
-        n = self.n
-        e = self.identity_index
-        orders = [0] * n
-        inverse = [0] * n
-        for i in range(n):
-            prev = e
-            cur = i
-            o = 1
-            while cur != e:
-                prev = cur
-                cur = self.multiply(cur, i)
-                o += 1
-                if o > n:
-                    raise GroupError(f"element {i} of {self.label!r} has no finite order")
-            orders[i] = o
-            inverse[i] = prev
-        self.element_order = tuple(orders)
-        self.inverse = tuple(inverse)
-        self.exponent = math.lcm(*orders)
-        gens = self.generators
-        self.is_abelian = all(
-            self.multiply(a, b) == self.multiply(b, a) for a in gens for b in gens
-        )
+        # powers of every element at once; an element leaves when it reaches e
+        n, e = self.n, self.identity_index
+        orders = np.ones(n, dtype=np.int64)
+        inverse = np.full(n, e)
+        x = np.arange(n)[np.arange(n) != e]
+        cur = x
+        o = 1
+        while x.size:
+            if o >= n:
+                raise GroupError(f"element {x[0]} of {self.label!r} has no finite order")
+            nxt = self.multiply_many(cur, x)
+            o += 1
+            done = nxt == e
+            if done.any():
+                orders[x[done]] = o
+                inverse[x[done]] = cur[done]
+                x, nxt = x[~done], nxt[~done]
+            cur = nxt
+        self.element_order = tuple(orders.tolist())
+        self.inverse = tuple(inverse.tolist())
+        self.exponent = math.lcm(*self.element_order)
+        gens = np.array(self.generators)
+        ab = self.multiply_many(gens[:, None], gens)
+        self.is_abelian = bool((ab == ab.T).all())
 
     def multiply(self, i: int, j: int) -> int:
-        return self.index[self._mul_enc(self.elements[i], self.elements[j])]
+        return int(self.multiply_many(i, j))
 
     def power(self, i: int, k: int) -> int:
         """i raised to the integer k (any sign), via the element's order."""
-        k %= self.element_order[i]
-        result = self.identity_index
-        base = i
-        while k:
-            if k & 1:
-                result = self.multiply(result, base)
-            k >>= 1
-            if k:
-                base = self.multiply(base, base)
-        return result
+        return int(self.power_many(i, k % self.element_order[i]))
 
     def element_repr(self, i: int) -> str:
         return str(self.elements[i])
 
 
 def _close(
-    generator_encs: Sequence[object],
-    identity_enc: object,
-    mul_enc: Callable[[object, object], object],
-    cap: int,
-    label: str,
-) -> list[object]:
-    """Breadth-first closure of the generators under right multiplication."""
-    seen = {identity_enc}
-    frontier = [identity_enc]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in generator_encs:
-                y = mul_enc(x, g)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise OrderCapExceeded(label, cap)
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return sorted(seen)  # type: ignore[type-var]
+    generators: np.ndarray, identity: np.ndarray, mul: Product, cap: int, label: str
+) -> np.ndarray:
+    """Breadth-first closure under right multiplication, one level at a time:
+    the frontier times every generator in one product.  Returns the element
+    rows in encoding (lexicographic) order."""
+    w, dtype = identity.shape[0], identity.dtype
+    levels = [identity[None, :]]
+    seen = _keys(levels[0], dtype)  # sorted
+    while len(levels[-1]):
+        cand = np.ascontiguousarray(mul(levels[-1][:, None], generators), dtype).reshape(-1, w)
+        keys = _keys(cand, dtype)
+        by_key = keys.argsort(kind="stable")
+        keys = keys[by_key]
+        fresh = seen.take(seen.searchsorted(keys), mode="clip") != keys
+        fresh[1:] &= keys[1:] != keys[:-1]
+        seen = np.concatenate([seen, keys[fresh]])
+        if len(seen) > cap:
+            raise OrderCapExceeded(label, cap)
+        seen.sort(kind="stable")
+        levels.append(cand[by_key[fresh]])
+    rows = np.concatenate(levels)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 # ---------------------------------------------------------------------------
-# family constructions
+# family constructions: generators and identity as rows, the product on
+# (..., w) arrays of rows, the order, and the largest row value plus one
 
 
 def _build_cyclic(k: int):
-    mul = lambda a, b: (a + b) % k
-    return [1 % k], 0, mul, k
+    return [[1 % k]], [0], lambda a, b: (a + b) % k, k, k
 
 
 def _build_abelian(dims: tuple[int, ...]):
-    def mul(a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, dims))
-
-    gens = []
-    for i, d in enumerate(dims):
-        if d > 1:
-            gens.append(tuple(1 if j == i else 0 for j in range(len(dims))))
-    identity = tuple(0 for _ in dims)
-    order = math.prod(dims)
-    return gens or [identity], identity, mul, order
+    mod = np.array(dims, dtype=_dtype(max(dims)))
+    gens = [[int(j == i) for j in range(len(dims))] for i, d in enumerate(dims) if d > 1]
+    identity = [0] * len(dims)
+    return gens or [identity], identity, lambda a, b: (a + b) % mod, math.prod(dims), max(dims)
 
 
 def _build_dihedral(k: int):
     # (r, s) stands for rotation^r * flip^s; flips conjugate rotations to
     # their inverses, hence the sign twist on the second rotation amount.
-    def mul(a, b):
-        r1, s1 = a
-        r2, s2 = b
-        r = (r1 + (r2 if s1 == 0 else -r2)) % k
-        return (r, (s1 + s2) % 2)
+    def mul(x, y):
+        r1, s1, r2, s2 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+        return np.stack([(r1 + (1 - 2 * s1) * r2) % k, (s1 + s2) % 2], axis=-1)
 
-    gens = [(1 % k, 0), (0, 1)]
-    return gens, (0, 0), mul, 2 * k
+    return [[1 % k, 0], [0, 1]], [0, 0], mul, 2 * k, k
 
 
-def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # apply b first, then a
-    return tuple(a[x] for x in b)
+def _perm_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # apply b first, then a; take_along_axis broadcasts only equal ranks
+    a = a.reshape((1,) * (b.ndim - a.ndim) + a.shape)
+    b = b.reshape((1,) * (a.ndim - b.ndim) + b.shape)
+    return np.take_along_axis(a, b, axis=-1)
 
 
 def _build_sym(k: int):
-    deg = max(k, 1)
-    identity = tuple(range(deg))
+    identity = list(range(max(k, 1)))
     gens = []
     if k >= 2:
-        t = list(identity)
-        t[0], t[1] = t[1], t[0]
-        gens.append(tuple(t))
+        gens.append([1, 0] + identity[2:])
     if k >= 3:
-        gens.append(tuple(list(range(1, k)) + [0]))
-    return gens or [identity], identity, _perm_mul, math.factorial(k)
+        gens.append(identity[1:] + [0])
+    return gens or [identity], identity, _perm_mul, math.factorial(k), k
 
 
 def _build_alt(k: int):
-    deg = max(k, 1)
-    identity = tuple(range(deg))
+    identity = list(range(max(k, 1)))
     gens = []
     for i in range(k - 2):
         c = list(identity)
         c[i], c[i + 1], c[i + 2] = c[i + 1], c[i + 2], c[i]
-        gens.append(tuple(c))
+        gens.append(c)
     order = math.factorial(k) // 2 if k >= 2 else 1
-    return gens or [identity], identity, _perm_mul, order
+    return gens or [identity], identity, _perm_mul, order, k
 
 
 def _build_q8():
     # (a, b) stands for i^a * j^b with i^4 = e, j^2 = i^2, j i = i^-1 j.
     def mul(x, y):
-        a1, b1 = x
-        a2, b2 = y
-        if b1 == 0:
-            return ((a1 + a2) % 4, b2)
-        if b2 == 0:
-            return ((a1 - a2) % 4, 1)
-        return ((a1 - a2 + 2) % 4, 0)
+        a1, b1, a2, b2 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+        return np.stack([(a1 + (1 - 2 * b1) * a2 + 2 * b1 * b2) % 4, (b1 + b2) % 2], axis=-1)
 
-    return [(1, 0), (0, 1)], (0, 0), mul, 8
+    return [[1, 0], [0, 1]], [0, 0], mul, 8, 4
 
 
 # GF(2^r) with a fixed irreducible polynomial per degree; elements are bit
@@ -242,51 +300,44 @@ class _GF2Field:
     def __init__(self, r: int):
         self.r = r
         self.q = 1 << r
-        poly = _GF2_POLY[r]
-        mul = [[0] * self.q for _ in range(self.q)]
-        for a in range(self.q):
-            for b in range(self.q):
-                acc = 0
-                x = a
-                y = b
-                while y:
-                    if y & 1:
-                        acc ^= x
-                    y >>= 1
-                    x <<= 1
-                    if x & self.q:
-                        x ^= poly
-                mul[a][b] = acc
-        self.mul = mul
-        inv = [0] * self.q
-        for a in range(1, self.q):
-            for b in range(1, self.q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self.inv = inv
+        # at step i, shifted[a] = a * X^i mod the polynomial and bits[b] = b >> i;
+        # mul[a, b] is the XOR of shifted[a] over the set bits of b
+        shifted, bits = np.arange(self.q), np.arange(self.q)
+        self.mul = np.zeros((self.q, self.q), dtype=np.int8)
+        for _ in range(r):
+            self.mul ^= np.outer(shifted, bits & 1).astype(np.int8)
+            shifted, bits = shifted << 1, bits >> 1
+            shifted = np.where(shifted & self.q, shifted ^ _GF2_POLY[r], shifted)
+        self.inv = (self.mul == 1).argmax(axis=1).tolist()
+
+
+# the entries of x and y (row-major a b / c d) that meet in each entry of x @ y
+_LEFT = (np.array([0, 0, 2, 2]), np.array([1, 1, 3, 3]))
+_RIGHT = (np.array([0, 1, 0, 1]), np.array([2, 3, 2, 3]))
 
 
 def _build_sl2(q: int):
-    r = q.bit_length() - 1
-    field = _GF2Field(r)
+    field = _GF2Field(q.bit_length() - 1)
     fm = field.mul
 
     def mul(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return (
-            fm[a][e] ^ fm[b][g],
-            fm[a][f] ^ fm[b][h],
-            fm[c][e] ^ fm[d][g],
-            fm[c][f] ^ fm[d][h],
-        )
+        return fm[x[..., _LEFT[0]], y[..., _RIGHT[0]]] ^ fm[x[..., _LEFT[1]], y[..., _RIGHT[1]]]
 
     # a transvection, the Weyl element and a generator of the diagonal torus
     gen = 0b10
-    gens = [(1, 1, 0, 1), (0, 1, 1, 0), (gen, 0, 0, field.inv[gen])]
-    order = q * (q * q - 1)
-    return gens, (1, 0, 0, 1), mul, order
+    gens = [[1, 1, 0, 1], [0, 1, 1, 0], [gen, 0, 0, field.inv[gen]]]
+    return gens, [1, 0, 0, 1], mul, q * (q * q - 1), q
+
+
+_CONSTRUCTIONS = {
+    "cyclic": lambda args: _build_cyclic(args[0]),
+    "abelian": _build_abelian,
+    "dihedral": lambda args: _build_dihedral(args[0]),
+    "sym": lambda args: _build_sym(args[0]),
+    "alt": lambda args: _build_alt(args[0]),
+    "q8": lambda args: _build_q8(),
+    "sl2": lambda args: _build_sl2(args[0]),
+}
 
 
 def make_group(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -298,36 +349,25 @@ def make_group(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> GroupTabl
         return direct_product(left, right, max_order)
     if isinstance(spec, PermSpec):
         return _make_perm_group(spec, label, max_order)
-    name, args = spec.family, spec.args
-    if name == "cyclic":
-        gens, identity, mul, order = _build_cyclic(args[0])
-    elif name == "abelian":
-        gens, identity, mul, order = _build_abelian(args)
-    elif name == "dihedral":
-        gens, identity, mul, order = _build_dihedral(args[0])
-    elif name == "sym":
-        gens, identity, mul, order = _build_sym(args[0])
-    elif name == "alt":
-        gens, identity, mul, order = _build_alt(args[0])
-    elif name == "q8":
-        gens, identity, mul, order = _build_q8()
-    elif name == "sl2":
-        gens, identity, mul, order = _build_sl2(args[0])
-    else:
-        raise ValueError(f"unknown family {name!r}")
+    if spec.family not in _CONSTRUCTIONS:
+        raise ValueError(f"unknown family {spec.family!r}")
+    gens, identity, mul, order, bound = _CONSTRUCTIONS[spec.family](spec.args)
     if order > max_order:
         raise OrderCapExceeded(label, max_order, order)
-    elements = _close(gens, identity, mul, max_order, label)
-    if len(elements) != order:
-        raise GroupError(
-            f"{label!r}: closure produced {len(elements)} elements, expected {order}"
-        )
-    return GroupTable(label, elements, mul, identity, gens, spec=spec)
+    dtype = _dtype(bound)
+    rows = _close(np.array(gens, dtype), np.array(identity, dtype), mul, max_order, label)
+    if len(rows) != order:
+        raise GroupError(f"{label!r}: closure produced {len(rows)} elements, expected {order}")
+    if spec.family == "cyclic":
+        elements = rows[:, 0].tolist()
+    else:
+        elements = list(map(tuple, rows.tolist()))
+    return GroupTable(label, elements, mul, identity, gens, spec=spec, rows=rows)
 
 
 def _make_perm_group(spec: PermSpec, label: str, max_order: int) -> GroupTable:
     deg = max(p for gen in spec.generators for cyc in gen for p in cyc)
-    identity = tuple(range(deg))
+    identity = list(range(deg))
     gens = []
     for gen in spec.generators:
         images = list(identity)
@@ -336,35 +376,38 @@ def _make_perm_group(spec: PermSpec, label: str, max_order: int) -> GroupTable:
             zero_based = [p - 1 for p in cyc]
             shift = {zero_based[i]: zero_based[(i + 1) % len(cyc)] for i in range(len(cyc))}
             images = [shift.get(x, x) for x in images]
-        gens.append(tuple(images))
-    elements = _close(gens, identity, _perm_mul, max_order, label)
-    return GroupTable(label, elements, _perm_mul, identity, gens, spec=spec)
+        gens.append(images)
+    dtype = _dtype(deg)
+    rows = _close(np.array(gens, dtype), np.array(identity, dtype), _perm_mul, max_order, label)
+    elements = list(map(tuple, rows.tolist()))
+    return GroupTable(label, elements, _perm_mul, identity, gens, spec=spec, rows=rows)
 
 
 def direct_product(
     left: GroupTable, right: GroupTable, max_order: int = DEFAULT_MAX_ORDER
 ) -> GroupTable:
-    """The direct product, with pair encodings ordered left-then-right."""
+    """The direct product, with pair encodings ordered left-then-right; a row
+    is the left row followed by the right row."""
     label = f"{left.label}*{right.label}"
     order = left.n * right.n
     if order > max_order:
         raise OrderCapExceeded(label, max_order, order)
-    lmul, rmul = left._mul_enc, right._mul_enc
+    lmul, rmul, w = left._mul, right._mul, left.rows.shape[1]
 
     def mul(a, b):
-        return (lmul(a[0], b[0]), rmul(a[1], b[1]))
+        return np.concatenate([lmul(a[..., :w], b[..., :w]), rmul(a[..., w:], b[..., w:])], axis=-1)
 
-    elements = [(x, y) for x in left.elements for y in right.elements]
-    identity = (
-        left.elements[left.identity_index],
-        right.elements[right.identity_index],
+    rows = np.concatenate(
+        [np.repeat(left.rows, right.n, axis=0), np.tile(right.rows, (left.n, 1))], axis=1
     )
-    gens = [(left.elements[g], right.elements[right.identity_index]) for g in left.generators]
-    gens += [(left.elements[left.identity_index], right.elements[g]) for g in right.generators]
+    elements = [(x, y) for x in left.elements for y in right.elements]
+    e_left, e_right = left.elements[left.identity_index], right.elements[right.identity_index]
+    gens = [(left.elements[g], e_right) for g in left.generators]
+    gens += [(e_left, right.elements[g]) for g in right.generators]
     spec = None
     if left.spec is not None and right.spec is not None:
         spec = ProductSpec(left.spec, right.spec)
-    return GroupTable(label, sorted(elements), mul, identity, gens, spec=spec)
+    return GroupTable(label, elements, mul, (e_left, e_right), gens, spec=spec, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +444,13 @@ class ClassSet:
 
 def conjugacy_classes(G: GroupTable) -> ClassSet:
     n = G.n
+    every = np.arange(n)
+    # conj[k][x] = g_k^-1 x g_k for every x, one product pair per generator
+    conj = [
+        G.multiply_many(G.inverse[g], G.multiply_many(every, g)).tolist() for g in G.generators
+    ]
     seen = bytearray(n)
     raw: list[list[int]] = []
-    gens = G.generators
-    ginv = [G.inverse[g] for g in gens]
     for i in range(n):
         if seen[i]:
             continue
@@ -413,8 +459,8 @@ def conjugacy_classes(G: GroupTable) -> ClassSet:
         queue = [i]
         while queue:
             x = queue.pop()
-            for g, gi in zip(gens, ginv):
-                y = G.multiply(gi, G.multiply(x, g))
+            for c in conj:
+                y = c[x]
                 if not seen[y]:
                     seen[y] = 1
                     orbit.append(y)
@@ -449,15 +495,18 @@ def class_power_chains(G: GroupTable, S: ClassSet) -> tuple[tuple[int, ...], ...
     Since rep^a depends on a only mod o, these chains answer every power-map
     query without touching group multiplication again.
     """
-    chains = []
-    for c in S.classes:
-        chain = []
-        cur = G.identity_index
-        for _ in range(c.rep_order):
-            chain.append(S.class_of[cur])
-            cur = G.multiply(cur, c.rep)
-        chains.append(tuple(chain))
-    return tuple(chains)
+    reps = np.array([c.rep for c in S.classes])
+    orders = np.array([c.rep_order for c in S.classes])
+    chains: list[list[int]] = [[] for _ in S.classes]
+    live = np.arange(S.m)  # the classes whose chain is still short of rep_order
+    cur = np.full(S.m, G.identity_index)
+    while live.size:
+        for j, x in zip(live.tolist(), cur.tolist()):
+            chains[j].append(S.class_of[x])
+        keep = orders[live] > len(chains[live[0]])
+        live = live[keep]
+        cur = G.multiply_many(cur[keep], reps[live])
+    return tuple(map(tuple, chains))
 
 
 def class_power_map(G: GroupTable, S: ClassSet, a: int) -> tuple[int, ...]:
@@ -466,7 +515,8 @@ def class_power_map(G: GroupTable, S: ClassSet, a: int) -> tuple[int, ...]:
     b = a % G.n if G.n > 0 else 0
     if math.gcd(b, G.n) != 1:
         raise ValueError(f"{a} is not coprime to the group order {G.n}")
-    return tuple(S.class_of[G.power(c.rep, b % c.rep_order)] for c in S.classes)
+    powers = G.power_many([c.rep for c in S.classes], b)
+    return tuple(S.class_of[x] for x in powers.tolist())
 
 
 def permutation_parity(p: Sequence[int]) -> int:
@@ -496,34 +546,39 @@ def permutation_parity(p: Sequence[int]) -> int:
 def verify_axioms(G: GroupTable, seed: int = 0) -> None:
     """Check the group laws on the realized group; raise GroupError on failure.
 
+    Every product is evaluated by the group's own product on element rows.
     Identity, inverses and orders are checked for every element.  For n <= 1024
-    an n x n table must be a Latin square, the generators must reach every
+    the full n x n table must be a Latin square, the generators must reach every
     element, and Light's test (x g) y = x (g y) must hold for each generator g;
     the elements passing it are closed under products, so this proves
-    associativity.  Larger groups get a seeded sample of rows, columns and triples.
+    associativity.  Larger groups get a seeded sample of 48 rows and columns
+    and 100 000 triples.
     """
     n = G.n
     e = G.identity_index
-    for i in range(n):
-        if G.multiply(e, i) != i or G.multiply(i, e) != i:
-            raise GroupError(f"{G.label!r}: identity fails at {i}")
-        if G.multiply(i, G.inverse[i]) != e or G.multiply(G.inverse[i], i) != e:
-            raise GroupError(f"{G.label!r}: inverse fails at {i}")
-        if G.element_order[i] < 1 or G.exponent % G.element_order[i]:
-            raise GroupError(f"{G.label!r}: order of {i} does not divide the exponent")
+    every = np.arange(n)
+    inverse = np.array(G.inverse)
+    failed = np.stack([
+        (G.multiply_many(e, every) != every) | (G.multiply_many(every, e) != every),
+        (G.multiply_many(every, inverse) != e) | (G.multiply_many(inverse, every) != e),
+        np.array([o < 1 or G.exponent % o != 0 for o in G.element_order]),
+    ])
+    if failed.any():
+        i = int(failed.any(axis=0).argmax())
+        what = ("identity fails at {}", "inverse fails at {}", "order of {} does not divide the exponent")
+        raise GroupError(f"{G.label!r}: " + what[int(failed[:, i].argmax())].format(i))
     if G.element_order[e] != 1 or n % G.exponent:
         raise GroupError(f"{G.label!r}: exponent {G.exponent} inconsistent with n={n}")
 
     if n <= _EXHAUSTIVE_LIMIT:
-        idx, elems, mul = G.index, G.elements, G._mul_enc
-        t = np.empty((n, n), dtype=np.intp)
-        for i, a in enumerate(elems):
-            t[i] = [idx[mul(a, b)] for b in elems]
-        want = np.arange(n)
-        if not ((np.sort(t, axis=1) == want).all() and (np.sort(t, axis=0) == want[:, None]).all()):
+        t = G.multiply_many(every[:, None], every).astype(np.int16, copy=False)
+        if not (
+            (np.sort(t, axis=1, kind="stable") == every).all()
+            and (np.sort(t, axis=0, kind="stable") == every[:, None]).all()
+        ):
             raise GroupError(f"{G.label!r}: multiplication table is not a Latin square")
         right = t[:, list(G.generators)]
-        reached = np.arange(n) == e
+        reached = every == e
         while not reached[right[reached]].all():
             reached[right[reached]] = True
         if not reached.all():
@@ -533,17 +588,19 @@ def verify_axioms(G: GroupTable, seed: int = 0) -> None:
                 raise GroupError(f"{G.label!r}: associativity fails with generator {g}")
         return
     rng = _seeded_rng(seed, G.label, "latin")
-    lines = sorted(rng.sample(range(n), min(n, 48)))
-    full = set(range(n))
-    for i in lines:
-        if {G.multiply(i, j) for j in range(n)} != full:
-            raise GroupError(f"{G.label!r}: row {i} is not a permutation")
-        if {G.multiply(j, i) for j in range(n)} != full:
-            raise GroupError(f"{G.label!r}: column {i} is not a permutation")
+    lines = np.array(sorted(rng.sample(range(n), min(n, 48))))
+    failed = np.stack([
+        (np.sort(G.multiply_many(lines[:, None], every), axis=1, kind="stable") != every).any(axis=1),
+        (np.sort(G.multiply_many(every, lines[:, None]), axis=1, kind="stable") != every).any(axis=1),
+    ])
+    if failed.any():
+        k = int(failed.any(axis=0).argmax())
+        what = ("row", "column")[int(failed[:, k].argmax())]
+        raise GroupError(f"{G.label!r}: {what} {lines[k]} is not a permutation")
+    # three draws of 32 bits per triple, uniform on 0..n-1 up to a bias below n / 2**32
     rng = _seeded_rng(seed, G.label, "assoc")
-    for _ in range(100_000):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        c = rng.randrange(n)
-        if G.multiply(G.multiply(a, b), c) != G.multiply(a, G.multiply(b, c)):
-            raise GroupError(f"{G.label!r}: associativity fails at ({a}, {b}, {c})")
+    a, b, c = (np.frombuffer(rng.randbytes(12 * 100_000), dtype="<u4") % n).reshape(3, -1)
+    failed = G.multiply_many(G.multiply_many(a, b), c) != G.multiply_many(a, G.multiply_many(b, c))
+    if failed.any():
+        k = int(failed.argmax())
+        raise GroupError(f"{G.label!r}: associativity fails at ({a[k]}, {b[k]}, {c[k]})")

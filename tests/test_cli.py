@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +171,14 @@ def test_exit_code_on_failed_check(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "cyclic:2")
     assert code == 1
     assert "FAILED synthetic: forced failure" in out
+
+
+def test_classes_json_golden(capsys):
+    # classes --json as recorded before products moved to element rows: scalar,
+    # one-point, nested product and matrix encodings print unchanged
+    golden = Path(__file__).with_name("classes_golden.jsonl").read_text().splitlines()
+    assert len(golden) == 6
+    for line in golden:
+        code, out, _ = run(capsys, "classes", json.loads(line)["label"], "--json")
+        assert code == 0
+        assert out == line + "\n"

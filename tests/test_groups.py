@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quadsym.groups import (
@@ -93,15 +94,16 @@ def test_verify_axioms_rejects_non_groups():
     # a loop of order 6: 0 is the identity and x*x = 0 for every x, so all
     # identity and inverse checks pass, but 80 of the 216 triples fail
     # associativity
-    rows = [
+    # (the product takes k x 1 arrays of element rows)
+    table = np.array([
         [0, 1, 2, 3, 4, 5],
         [1, 0, 3, 2, 5, 4],
         [2, 4, 0, 5, 1, 3],
         [3, 5, 4, 0, 2, 1],
         [4, 3, 5, 1, 0, 2],
         [5, 2, 1, 4, 3, 0],
-    ]
-    loop = GroupTable("loop6", range(6), lambda a, b: rows[a][b], 0, [1, 2])
+    ])
+    loop = GroupTable("loop6", range(6), lambda a, b: table[a, b], 0, [1, 2])
     for seed in (0, 7):
         with pytest.raises(GroupError, match="associativity"):
             verify_axioms(loop, seed=seed)
@@ -319,3 +321,139 @@ def test_sl2_small_field_structure():
 def test_element_repr():
     G = group("sym:3")
     assert G.element_repr(G.identity_index) == "(0, 1, 2)"
+
+
+def test_product_outside_the_elements_is_a_group_error():
+    # 3 * 3 = 6 mod 7 is not among 0..5; this used to escape as KeyError: 6
+    with pytest.raises(GroupError, match=r"'bad': the product of elements 3 and 3 \(3 \* 3\)"):
+        GroupTable("bad", range(6), lambda a, b: (a + b) % 7, 0, [1])
+    # every square is 0, but 1 * 3 = 4 leaves 0..3
+    leaky = GroupTable("leaky", range(4), lambda a, b: np.where(a == b, 0, a + b), 0, [1, 2])
+    assert leaky.multiply(1, 2) == 3
+    with pytest.raises(GroupError, match=r"'leaky': the product of elements 1 and 3 \(1 \* 3\)"):
+        leaky.multiply(1, 3)
+    with pytest.raises(GroupError, match="'leaky'"):
+        verify_axioms(leaky)
+
+
+def _random_pairs(G, count=300, seed=0):
+    rng = random.Random(f"{G.label}:{seed}")
+    return [(rng.randrange(G.n), rng.randrange(G.n)) for _ in range(count)]
+
+
+def _check_oracle(G, oracle):
+    """multiply_many on seeded random pairs against an independent product of
+    the encodings."""
+    pairs = _random_pairs(G)
+    I, J = (np.array(side) for side in zip(*pairs))
+    got = G.multiply_many(I, J)
+    for (i, j), k in zip(pairs, got.tolist()):
+        assert G.elements[k] == oracle(G.elements[i], G.elements[j]), (G.label, i, j)
+
+
+def test_q8_product_matches_quaternion_units():
+    def quat(x):
+        # i^a j^b as a unit quaternion (w, x, y, z)
+        q = (1, 0, 0, 0)
+        for unit, times in (((0, 1, 0, 0), x[0]), ((0, 0, 1, 0), x[1])):
+            for _ in range(times):
+                q = hamilton(q, unit)
+        return q
+
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+
+    G = group("q8")
+    by_quat = {quat(x): x for x in G.elements}
+    assert len(by_quat) == 8
+    _check_oracle(G, lambda x, y: by_quat[hamilton(quat(x), quat(y))])
+
+
+def test_dihedral_product_matches_affine_matrices():
+    # (r, s) acts on Z/k as t -> (-1)^s t + r: the matrix [[(-1)^s, r], [0, 1]]
+    for k in (1, 2, 5, 12):
+        def matrix(x):
+            return ((-1) ** x[1], x[0]), (0, 1)
+
+        def matmul(A, B):
+            (a, b), _ = A
+            (c, d), _ = B
+            return (a * c, (a * d + b) % k), (0, 1)
+
+        G = group(f"dihedral:{k}")
+        by_matrix = {matrix(x): x for x in G.elements}
+        assert len(by_matrix) == 2 * k
+        _check_oracle(G, lambda x, y: by_matrix[matmul(matrix(x), matrix(y))])
+
+
+def test_sl2_product_matches_carry_less_multiplication():
+    from quadsym.groups import _GF2_POLY
+
+    for q in (4, 8, 16):
+        r = q.bit_length() - 1
+
+        def gf_mul(a, b):
+            # carry-less product, then reduction mod the field polynomial
+            prod = 0
+            for bit in range(r):
+                if b >> bit & 1:
+                    prod ^= a << bit
+            for bit in range(2 * r - 2, r - 1, -1):
+                if prod >> bit & 1:
+                    prod ^= _GF2_POLY[r] << (bit - r)
+            return prod
+
+        def matmul(x, y):
+            a, b, c, d = x
+            e, f, g, h = y
+            return (
+                gf_mul(a, e) ^ gf_mul(b, g),
+                gf_mul(a, f) ^ gf_mul(b, h),
+                gf_mul(c, e) ^ gf_mul(d, g),
+                gf_mul(c, f) ^ gf_mul(d, h),
+            )
+
+        _check_oracle(group(f"sl2:{q}"), matmul)
+
+
+def test_perm_product_matches_function_composition():
+    def compose(a, b):
+        # b first, then a, as functions on points
+        f, g = a.__getitem__, b.__getitem__
+        return tuple(f(g(x)) for x in range(len(a)))
+
+    for text in ["sym:5", "alt:6", "perm:[(1 2 3 4 5 6 7),(2 3 5)(4 7 6)]", "perm:[(1 30)(2 3)]"]:
+        _check_oracle(group(text), compose)
+
+
+def test_abelian_product_matches_componentwise_addition():
+    for text, dims in (("cyclic:17", None), ("abelian:2,4,3", (2, 4, 3))):
+        G = group(text)
+        if dims is None:
+            _check_oracle(G, lambda x, y: (x + y) % 17)
+        else:
+            _check_oracle(G, lambda x, y: tuple((u + v) % d for u, v, d in zip(x, y, dims)))
+
+
+def test_direct_product_matches_factor_products():
+    for left, right in (("cyclic:3", "dihedral:4"), ("sym:3", "q8"), ("cyclic:2*sym:3", "sl2:4")):
+        A, B = group(left), group(right)
+        P = direct_product(A, B)
+        a_index = {x: i for i, x in enumerate(A.elements)}
+        b_index = {y: i for i, y in enumerate(B.elements)}
+
+        def pair(x, y):
+            (x1, x2), (y1, y2) = x, y
+            return (
+                A.elements[A.multiply(a_index[x1], a_index[y1])],
+                B.elements[B.multiply(b_index[x2], b_index[y2])],
+            )
+
+        _check_oracle(P, pair)
