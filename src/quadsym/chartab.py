@@ -28,11 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import (
-    ClassSet, GroupTable, OrderCapExceeded, _seeded_rng, class_power_chains, permutation_parity
-)
+from .groups import ClassSet, GroupTable, OrderCapExceeded, _seeded_rng, class_power_chains
 from .ntheory import factorize, is_prime
-from .reciprocity import CheckResult, Discriminant, RealComplexSplit, _check, quadratic_symbol
+from .reciprocity import CheckResult, Discriminant, RealComplexSplit, _check, symbol_character
 
 MAX_CLASSES = 16
 
@@ -518,10 +516,8 @@ def character_table(
     pos = {j: t for t, j in enumerate(cols)}
     sizes = [S.classes[j].size for j in cols]
     reps = [S.classes[j].rep for j in cols]
-    rep_orders = [S.classes[j].rep_order for j in cols]
     inv_pos = [pos[S.inverse_class[j]] for j in cols]
-    native_chains = class_power_chains(G, S)
-    chains = [tuple(pos[c] for c in native_chains[j]) for j in cols]
+    chains = class_power_chains(G, S).relabel(cols)
 
     P = _choose_prime(e, n)
     cls_pos = np.array([pos[S.class_of[x]] for x in range(n)])
@@ -570,7 +566,7 @@ def character_table(
     for j in range(m):
         # mu[i, k]: the multiplicity of w^(step * k) as an eigenvalue of
         # character i at rep_j, a discrete Fourier coefficient along its powers
-        o = rep_orders[j]
+        o = len(chains[j])
         step, k = e // o, np.arange(o)
         mu = chi_mod[:, chains[j]] @ inv_powers[np.outer(k, k) * step % e] % P
         mu = mu * pow(o, -1, P) % P
@@ -665,7 +661,6 @@ def det_identities(
     checks compare images: z -> z^a moves the image at unit u to u * a.
     """
     e = T.conductor
-    m = T.m
     det, primes, s = _modular_det(T.entries, e, T.label)
     checks = []
 
@@ -680,30 +675,26 @@ def det_identities(
     ratio_ok = d2_ok and ell >= 1 and ell * ell * dval == det_squared
     checks.append(_check("det_squared_is_ell2_d", ratio_ok, f"det^2 = {det2}, d = {dval}"))
 
-    def scales_det(a: int, sym: int) -> bool:
-        return not ((s[:, _unit_perm(e, a)] - sym * s) % primes[:, None]).any()
+    sym = symbol_character(G, S)
 
-    sym_minus1 = quadratic_symbol(G, S, -1)
-    conj_ok = scales_det(-1, sym_minus1)
-    checks.append(_check("conjugate_det", conj_ok, f"conj(det) != ({sym_minus1}) * det"))
+    def scales_det(a: int) -> bool:
+        return not ((s[:, _unit_perm(e, a)] - sym(a) * s) % primes[:, None]).any()
 
-    rep_orders = [S.classes[j].rep_order for j in T.class_order]
-    pos = {j: t for t, j in enumerate(T.class_order)}
-    native_chains = class_power_chains(G, S)
-    chains = [tuple(pos[c] for c in native_chains[j]) for j in T.class_order]
+    conj_ok = scales_det(-1)
+    checks.append(_check("conjugate_det", conj_ok, f"conj(det) != ({sym(-1)}) * det"))
+
+    chains = class_power_chains(G, S).relabel(T.class_order)
     # sigma_a(chi_ij) - chi_ik has coefficients below 2 * C_e * max |chi|_1
     col_bound = _basis(e).root_norm * max(_l1(z) for row in T.entries for z in row)
     E = np.stack([E for _, _, E in _images(T.entries, e, col_bound, T.label)])
     galois_witness = column_witness = None
     for a in _units(e):
-        colmap = [chains[j][a % rep_orders[j]] for j in range(m)]
-        moved = (E[:, _unit_perm(e, a)] != E[..., colmap]).reshape(-1, m * m).any(axis=0)
+        moved = (E[:, _unit_perm(e, a)] != E[..., chains.at(a)]).any(axis=(0, 1))
         if moved.any():
-            i, j = divmod(int(moved.argmax()), m)
+            i, j = np.argwhere(moved)[0]
             column_witness = f"a = {a}, row {i}, column {j}"
-        sym = permutation_parity(colmap)
-        if not scales_det(a, sym):
-            galois_witness = f"a = {a}, symbol {sym}"
+        if not scales_det(a):
+            galois_witness = f"a = {a}, symbol {sym(a)}"
         if galois_witness or column_witness:
             break
     checks.append(CheckResult("galois_scales_det_by_symbol", not galois_witness, galois_witness))

@@ -13,6 +13,9 @@ products, or both halves of a row for a direct product.  ``multiply_many``
 looks the product rows up exactly among the stored rows (by their bytes,
 binary search in the sorted keys), so closure, orders, classes, power maps
 and the axiom check multiply whole index arrays at once.
+
+``class_power_chains`` tabulates the class power map at every exponent in one
+array, whose layout only ``PowerChains`` reads.
 """
 from __future__ import annotations
 
@@ -489,24 +492,50 @@ def conjugacy_classes(G: GroupTable) -> ClassSet:
     return ClassSet(tuple(classes), tuple(class_of), tuple(inverse_class))
 
 
-def class_power_chains(G: GroupTable, S: ClassSet) -> tuple[tuple[int, ...], ...]:
-    """For each class, the classes of rep^0, rep^1, ..., rep^(o-1).
-
-    Since rep^a depends on a only mod o, these chains answer every power-map
-    query without touching group multiplication again.
+@dataclass(frozen=True, eq=False)
+class PowerChains:
+    """The class power map at every exponent.  Class j's chain lists the classes
+    of rep^0, ..., rep^(o-1), o = ``order[j]``, from ``flat[start[j]]`` on, the
+    chains back to back; since rep^a depends on a only mod o, they answer every
+    power-map query without multiplying again.
     """
+
+    flat: np.ndarray
+    start: np.ndarray
+    order: np.ndarray
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        """Class j's whole chain."""
+        return self.flat[self.start[j] : self.start[j] + self.order[j]]
+
+    def at(self, a: int) -> np.ndarray:
+        """The classes of rep^a for every class, for any integer a."""
+        return self.flat[self.start + a % self.order]
+
+    def relabel(self, order: Sequence[int]) -> "PowerChains":
+        """The same map with the classes renumbered: class order[t] becomes t."""
+        order = np.array(order)
+        pos = np.empty_like(order)
+        pos[order] = np.arange(len(order))
+        return PowerChains(pos[self.flat], self.start[order], self.order[order])
+
+
+def class_power_chains(G: GroupTable, S: ClassSet) -> PowerChains:
+    """Every class's power chain, one batched product per step: step t stores
+    the classes of rep^t for each class whose order exceeds t."""
+    class_of = np.array(S.class_of)
     reps = np.array([c.rep for c in S.classes])
-    orders = np.array([c.rep_order for c in S.classes])
-    chains: list[list[int]] = [[] for _ in S.classes]
-    live = np.arange(S.m)  # the classes whose chain is still short of rep_order
+    order = np.array([c.rep_order for c in S.classes])
+    start = np.cumsum(order) - order
+    flat = np.empty(order.sum(), dtype=np.intp)
+    live = np.arange(S.m)
     cur = np.full(S.m, G.identity_index)
-    while live.size:
-        for j, x in zip(live.tolist(), cur.tolist()):
-            chains[j].append(S.class_of[x])
-        keep = orders[live] > len(chains[live[0]])
+    for t in range(order.max()):
+        flat[start[live] + t] = class_of[cur]
+        keep = order[live] > t + 1
         live = live[keep]
         cur = G.multiply_many(cur[keep], reps[live])
-    return tuple(map(tuple, chains))
+    return PowerChains(flat, start, order)
 
 
 def class_power_map(G: GroupTable, S: ClassSet, a: int) -> tuple[int, ...]:

@@ -52,16 +52,8 @@ class RealComplexSplit:
 
 
 def real_complex_split(S: ClassSet) -> RealComplexSplit:
-    real = [j for j in range(S.m) if S.inverse_class[j] == j]
-    pairs = []
-    seen = set(real)
-    for j in range(S.m):
-        if j in seen:
-            continue
-        k = S.inverse_class[j]
-        seen.add(j)
-        seen.add(k)
-        pairs.append((j, k))
+    real = [j for j, k in enumerate(S.inverse_class) if j == k]
+    pairs = [(j, k) for j, k in enumerate(S.inverse_class) if j < k]
     order = tuple(real) + tuple(x for pair in pairs for x in pair)
     return RealComplexSplit(r1=len(real), r2=len(pairs), order=order)
 
@@ -83,10 +75,7 @@ def discriminant(G: GroupTable, S: ClassSet, split: RealComplexSplit) -> Discrim
 
 def quadratic_symbol(G: GroupTable, S: ClassSet, a: int) -> int:
     """Sign of the class permutation induced by g -> g^a; 0 off the units."""
-    b = a % G.n
-    if math.gcd(b, G.n) != 1:
-        return 0
-    return permutation_parity(class_power_map(G, S, b))
+    return permutation_parity(class_power_map(G, S, a)) if math.gcd(a, G.n) == 1 else 0
 
 
 @dataclass(frozen=True)
@@ -101,22 +90,19 @@ class SymbolCharacter:
 
 
 def symbol_character(G: GroupTable, S: ClassSet) -> SymbolCharacter:
-    """Tabulate the symbol over a full period.
+    """Tabulate the symbol over a full period 0..n-1.
 
-    Each class contributes through rep^a, which only depends on a mod the
-    representative's order, so one pass of power chains answers all n values.
+    The class of rep^a depends only on a mod the exponent e, so the power
+    chains give one class permutation, and one parity, per unit mod e.  Since
+    n and e have the same prime factors, a is a unit mod n exactly when a mod
+    e is a unit mod e; every other residue gets 0.
     """
     chains = class_power_chains(G, S)
-    orders = [c.rep_order for c in S.classes]
-    n = G.n
-    values = []
-    for a in range(n):
-        if math.gcd(a, n) != 1:
-            values.append(0)
-            continue
-        perm = tuple(chains[j][a % orders[j]] for j in range(S.m))
-        values.append(permutation_parity(perm))
-    return SymbolCharacter(modulus=n, values=tuple(values))
+    e = G.exponent
+    by_residue = [
+        permutation_parity(chains.at(a).tolist()) if math.gcd(a, e) == 1 else 0 for a in range(e)
+    ]
+    return SymbolCharacter(modulus=G.n, values=tuple(by_residue) * (G.n // e))
 
 
 @dataclass(frozen=True)
@@ -172,16 +158,8 @@ def verify_group(G: GroupTable, S: Optional[ClassSet] = None) -> VerificationRep
         _check("discriminant_mod_4", d.mod(4) in (0, 1), f"d = {d} = {d.mod(4)} mod 4")
     )
 
-    bad = None
-    for a in range(n):
-        if sym.values[a] != kronecker(d, a):
-            bad = a
-            break
-    if bad is None:
-        for a in (-1, -3, n + 1, 2 * n + 3):
-            if sym(a) != kronecker(d, a):
-                bad = a
-                break
+    tried = (*range(n), -1, -3, n + 1, 2 * n + 3)
+    bad = next((a for a in tried if sym(a) != kronecker(d, a)), None)
     checks.append(
         _check(
             "symbol_equals_kronecker",

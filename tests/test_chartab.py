@@ -19,7 +19,7 @@ from quadsym.chartab import (
 )
 from quadsym.groups import OrderCapExceeded, conjugacy_classes, make_group
 from quadsym.groupspec import parse_group_spec
-from quadsym.reciprocity import discriminant, real_complex_split
+from quadsym.reciprocity import discriminant, real_complex_split, symbol_character
 
 
 def table_for(build, label, **kw):
@@ -179,6 +179,28 @@ def test_q8_and_dihedral4_share_a_table(build):
     assert T1.degrees == T2.degrees == (1, 1, 1, 1, 2)
     as_ints = lambda T: [[z.to_int() for z in row] for row in T.entries]
     assert as_ints(T1) == as_ints(T2)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("dihedral:3", "sym:3"),
+        ("cyclic:6", "cyclic:2*cyclic:3"),
+        ("abelian:3,9", "cyclic:3*cyclic:9"),
+        ("alt:4", "perm:[(1 2 3),(2 3 4)]"),
+        # q8 acting on itself by left multiplication, with 1, i, -1, -i, j, k,
+        # -j, -k as the points 1..8: i and j
+        ("q8", "perm:[(1 2 3 4)(5 6 7 8),(1 5 3 7)(2 8 4 6)]"),
+    ],
+)
+def test_isomorphic_groups_agree(build, left, right):
+    def invariants(label):
+        b = build(label)
+        T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
+        sym = symbol_character(b.G, b.S).values
+        return b.G.n, b.S.m, b.split.r1, b.split.r2, b.D.value.value(), sym, sorted(T.degrees)
+
+    assert invariants(left) == invariants(right)
 
 
 def test_known_degree_multisets(build):

@@ -1,4 +1,5 @@
-"""Random permutation groups checked against sympy.combinatorics."""
+"""Random permutation groups checked against sympy.combinatorics, and the
+Jacobi and Kronecker symbols against sympy's."""
 import math
 
 import pytest
@@ -6,12 +7,13 @@ import pytest
 pytest.importorskip("hypothesis")
 pytest.importorskip("sympy")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
+from sympy.functions.combinatorial.numbers import jacobi_symbol, kronecker_symbol  # noqa: E402
 
 from quadsym.groups import conjugacy_classes, make_group, verify_axioms  # noqa: E402
 from quadsym.groupspec import parse_group_spec  # noqa: E402
-from quadsym.ntheory import kronecker  # noqa: E402
+from quadsym.ntheory import factorize, jacobi, kronecker  # noqa: E402
 from quadsym.reciprocity import discriminant, real_complex_split, symbol_character  # noqa: E402
 
 
@@ -59,3 +61,27 @@ def test_random_perm_groups_match_sympy(gens):
     for a in range(1, G.n):
         if math.gcd(a, G.n) == 1:
             assert sym(a) == kronecker(d, a), (spec, a)
+
+
+# nonzero integers that are 0 or 1 mod 4: x - 2 moves 2 and 3 mod 4 to 0 and 1
+discriminants = st.integers(-(10**6), 10**6).map(lambda x: x - 2 * (x % 4 >= 2)).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-(10**6), 10**6), st.integers(0, 10**6).map(lambda k: 2 * k + 1))
+@example(0, 1)
+@example(-6, 9)
+def test_jacobi_matches_sympy(a, n):
+    assert jacobi(a, n) == jacobi_symbol(a, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(discriminants, st.integers(-(10**4), 10**4))
+@example(1, 0)
+@example(-4, 0)
+@example(5, -8)
+@example(-3, -6)
+def test_kronecker_matches_sympy(d, a):
+    want = kronecker_symbol(d, a)
+    assert kronecker(d, a) == want
+    assert kronecker(factorize(d), a) == want
