@@ -21,14 +21,14 @@ at u to the image at u * a, which decides the Galois checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import ClassSet, GroupTable, OrderCapExceeded, _seeded_rng, class_power_chains
+from .groups import ClassSet, GroupTable, OrderCapExceeded, PowerChains, _seeded_rng, class_power_chains
 from .ntheory import factorize, is_prime
 from .reciprocity import CheckResult, Discriminant, RealComplexSplit, _check, symbol_character
 
@@ -256,11 +256,22 @@ def _units(e: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, e + 1) if gcd(a, e) == 1)
 
 
+@lru_cache(maxsize=None)
+def _unit_index(e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units mod e as an array, and the embedding index of each unit
+    residue (0 elsewhere)."""
+    units = np.array(_units(e))
+    index = np.zeros(e, dtype=np.intp)
+    index[units % e] = np.arange(len(units))
+    units.setflags(write=False)  # the cache hands both arrays to every caller
+    index.setflags(write=False)
+    return units, index
+
+
 def _unit_perm(e: int, a: int) -> np.ndarray:
     """Embedding index t -> index of units[t] * a: the action of z -> z^a."""
-    units = _units(e)
-    index = {u % e: t for t, u in enumerate(units)}
-    return np.array([index[u * a % e] for u in units])
+    units, index = _unit_index(e)
+    return index[units * a % e]
 
 
 @lru_cache(maxsize=None)
@@ -494,6 +505,9 @@ class CharacterTable:
     class_order: tuple[int, ...]
     degrees: tuple[int, ...]
     entries: tuple[tuple[CycInt, ...], ...]
+    # the class power map in column order: z -> z^a moves column j to column
+    # chains.at(a)[j]; computed again from the group when absent
+    chains: Optional[PowerChains] = field(default=None, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -593,6 +607,7 @@ def character_table(
         class_order=tuple(cols),
         degrees=tuple(d for d, _ in paired),
         entries=tuple(tuple(r) for _, r in paired),
+        chains=chains,
     )
 
 
@@ -675,7 +690,8 @@ def det_identities(
     ratio_ok = d2_ok and ell >= 1 and ell * ell * dval == det_squared
     checks.append(_check("det_squared_is_ell2_d", ratio_ok, f"det^2 = {det2}, d = {dval}"))
 
-    sym = symbol_character(G, S)
+    chains = T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
+    sym = symbol_character(G, S, chains)
 
     def scales_det(a: int) -> bool:
         return not ((s[:, _unit_perm(e, a)] - sym(a) * s) % primes[:, None]).any()
@@ -683,7 +699,6 @@ def det_identities(
     conj_ok = scales_det(-1)
     checks.append(_check("conjugate_det", conj_ok, f"conj(det) != ({sym(-1)}) * det"))
 
-    chains = class_power_chains(G, S).relabel(T.class_order)
     # sigma_a(chi_ij) - chi_ik has coefficients below 2 * C_e * max |chi|_1
     col_bound = _basis(e).root_norm * max(_l1(z) for row in T.entries for z in row)
     E = np.stack([E for _, _, E in _images(T.entries, e, col_bound, T.label)])

@@ -103,20 +103,16 @@ def _build(args) -> GroupTable:
     return make_group(spec, max_order=args.max_order)
 
 
-def _report_json(rep: VerificationReport) -> dict:
-    return {
-        "label": rep.label,
-        "n": rep.n,
-        "m": rep.m,
-        "r1": rep.r1,
-        "r2": rep.r2,
-        "exponent": rep.exponent,
-        **_d_json(rep.d),
-        "d_K": rep.d_K,
-        "conductor": rep.conductor,
-        "theorem_ok": rep.ok,
-        "checks": _checks_json(rep.checks),
-    }
+def _report_json(rep: VerificationReport, checks: bool = True) -> dict:
+    """The fields of ``verify --json``; without the exponent and the checks,
+    those of ``disc --json``."""
+    obj = {"label": rep.label, "n": rep.n, "m": rep.m, "r1": rep.r1, "r2": rep.r2}
+    if checks:
+        obj["exponent"] = rep.exponent
+    obj.update(_d_json(rep.d), d_K=rep.d_K, conductor=rep.conductor)
+    if checks:
+        obj.update(theorem_ok=rep.ok, checks=_checks_json(rep.checks))
+    return obj
 
 
 def _report_human(rep: VerificationReport, elapsed: float) -> str:
@@ -138,21 +134,14 @@ def _cmd_disc(args) -> int:
     split = real_complex_split(S)
     D = discriminant(G, S, split)
     fd = ntheory.fundamental_discriminant(D.value)
-    obj = {
-        "label": G.label,
-        "n": G.n,
-        "m": S.m,
-        "r1": split.r1,
-        "r2": split.r2,
-        **_d_json(D.value),
-        "d_K": fd.d_K,
-        "conductor": fd.conductor,
-    }
+    rep = VerificationReport(
+        G.label, G.n, S.m, split.r1, split.r2, G.exponent, D.value, fd.d_K, fd.conductor, ()
+    )
     human = (
         f"{G.label}: n={G.n} m={S.m} r1={split.r1} r2={split.r2} "
         f"d={D.value} = {D.value.decimal()} d_K={fd.d_K} f={fd.conductor}"
     )
-    _emit(args, obj, human)
+    _emit(args, _report_json(rep, checks=False), human)
     return EXIT_OK
 
 

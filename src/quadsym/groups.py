@@ -10,15 +10,17 @@ the n x w array ``GroupTable.rows``.  A family's product maps two arrays of
 rows, shapes (..., w) broadcast together, to one: modular addition, a twisted
 sum (dihedral, quaternion), a gather of permutation images or of GF(2^r)
 products, or both halves of a row for a direct product.  ``multiply_many``
-looks the product rows up exactly among the stored rows (by their bytes,
-binary search in the sorted keys), so closure, orders, classes, power maps
-and the axiom check multiply whole index arrays at once.
+looks the product rows up exactly among the stored rows (by their bytes, in
+an open-addressing hash table), so orders, classes, power maps and the axiom
+check multiply whole index arrays at once; the closure multiplies a whole
+level of rows at once.
 
 ``class_power_chains`` tabulates the class power map at every exponent in one
 array, whose layout only ``PowerChains`` reads.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -83,6 +85,23 @@ def _keys(rows: np.ndarray, dtype) -> np.ndarray:
     return word.view(np.int64)[..., 0]
 
 
+# 2^64 / golden ratio, odd: Fibonacci hashing keeps the top bits of key * _FIB
+_FIB = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _hash(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Slots 0..2^bits-1 for a 1-d array of keys (Knuth, TAOCP vol. 3, 6.4); a
+    void key folds its 8-byte words into one first."""
+    if keys.dtype.kind == "V":
+        size = keys.dtype.itemsize
+        raw = keys.view(np.uint8).reshape(len(keys), size)
+        words = [_keys(raw[:, i : i + 8], np.uint8).view(np.uint64) for i in range(0, size, 8)]
+        keys = functools.reduce(lambda h, word: h * _FIB + word, words)
+    h = keys.view(np.uint64) * _FIB
+    h >>= np.uint64(64 - bits)
+    return h.view(np.intp)
+
+
 def _dtype(bound: int) -> type:
     # row values stay below bound; a family product may form sums up to 2 * bound
     return np.int8 if bound < 2**6 else np.int16 if bound < 2**14 else np.int64
@@ -116,11 +135,7 @@ class GroupTable:
             rows = np.array([_flat(x) for x in self.elements]).reshape(self.n, -1)
         self.rows = rows
         self._mul = mul
-        keys = _keys(rows, rows.dtype)
-        self._slot = keys.argsort(kind="stable").astype(np.int16 if self.n < 2**15 else np.intp)
-        self._sorted = keys[self._slot]
-        if (self._sorted[1:] == self._sorted[:-1]).any():
-            raise GroupError(f"duplicate encodings in {label!r}")
+        self._init_slots(label)
         named = [identity, *generators]
         found, miss = self._locate(np.array([_flat(x) for x in named]))
         if miss.any():
@@ -129,11 +144,42 @@ class GroupTable:
         self.generators = tuple(dict.fromkeys(found[1:].tolist())) or (self.identity_index,)
         self._init_orders()
 
+    def _init_slots(self, label: str) -> None:
+        # linear probing in 2^bits >= 4n slots, each -1 or an element index;
+        # every pending row tries its slot, one claimant of each free slot wins
+        self._key = _keys(self.rows, self.rows.dtype)
+        self._bits = (4 * self.n - 1).bit_length()
+        self._slots = np.full(1 << self._bits, -1, np.int16 if self.n < 2**15 else np.intp)
+        todo, h = np.arange(self.n), _hash(self._key, self._bits)
+        while todo.size:
+            free = self._slots[h] < 0
+            self._slots[h[free]] = todo[free]
+            held = self._slots[h]
+            left = held != todo
+            if (self._key[held[left]] == self._key[todo[left]]).any():
+                raise GroupError(f"duplicate encodings in {label!r}")
+            todo, h = todo[left], (h[left] + 1) & (len(self._slots) - 1)
+
     def _locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the given rows, and a mask of the rows that are not elements."""
+        """Indices of the given rows, and a mask of the rows that are not
+        elements: each key probes from its hash to its element or, if it is
+        none, to an empty slot; a probe round gathers only unresolved keys."""
         keys = _keys(rows, self.rows.dtype)
-        pos = self._sorted.searchsorted(keys)
-        return self._slot.take(pos, mode="clip"), self._sorted.take(pos, mode="clip") != keys
+        shape, keys = keys.shape, keys.ravel()
+        h = _hash(keys, self._bits)
+        found = self._slots[h]
+        # an empty slot gathers the last element's key, which the probe for
+        # that key meets at its own slot before any empty one
+        todo = np.flatnonzero(self._key[found] != keys)
+        h, miss = h[todo], np.zeros(len(keys), bool)
+        while todo.size:
+            live = found[todo] >= 0
+            miss[todo[~live]] = True
+            todo, h = todo[live], (h[live] + 1) & (len(self._slots) - 1)
+            found[todo] = self._slots[h]
+            again = self._key[found[todo]] != keys[todo]
+            todo, h = todo[again], h[again]
+        return found.reshape(shape), miss.reshape(shape)
 
     def multiply_many(self, I, J) -> np.ndarray:
         """Indices of the products I * J, elementwise over the broadcast index
@@ -147,7 +193,7 @@ class GroupTable:
         return np.concatenate([self._multiply(I[s : s + step], J[s : s + step]) for s in range(0, len(I), step)])
 
     def _multiply(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        found, miss = self._locate(self._mul(self.rows[I], self.rows[J]))
+        found, miss = self._locate(self._mul(self.rows.take(I, axis=0), self.rows.take(J, axis=0)))
         if miss.any():
             at = np.unravel_index(miss.argmax(), miss.shape)
             x, y = (int(np.broadcast_to(X, miss.shape)[at]) for X in (I, J))
@@ -258,10 +304,9 @@ def _build_dihedral(k: int):
 
 
 def _perm_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # apply b first, then a; take_along_axis broadcasts only equal ranks
-    a = a.reshape((1,) * (b.ndim - a.ndim) + a.shape)
-    b = b.reshape((1,) * (a.ndim - b.ndim) + b.shape)
-    return np.take_along_axis(a, b, axis=-1)
+    # apply b first, then a: one gather from a's rows, each offset by its start
+    start = np.arange(0, a.size, a.shape[-1]).reshape(a.shape[:-1] + (1,))
+    return np.ravel(a).take(b + start)
 
 
 def _build_sym(k: int):
@@ -314,17 +359,21 @@ class _GF2Field:
         self.inv = (self.mul == 1).argmax(axis=1).tolist()
 
 
-# the entries of x and y (row-major a b / c d) that meet in each entry of x @ y
-_LEFT = (np.array([0, 0, 2, 2]), np.array([1, 1, 3, 3]))
-_RIGHT = (np.array([0, 1, 0, 1]), np.array([2, 3, 2, 3]))
-
-
 def _build_sl2(q: int):
     field = _GF2Field(q.bit_length() - 1)
-    fm = field.mul
+    fm, r = field.mul.ravel(), field.r
 
     def mul(x, y):
-        return fm[x[..., _LEFT[0]], y[..., _RIGHT[0]]] ^ fm[x[..., _LEFT[1]], y[..., _RIGHT[1]]]
+        # entry (i, j) of x @ y (row-major a b / c d) is x_i0 y_0j + x_i1 y_1j,
+        # and fm[(s << r) | t] is the field product s * t
+        x = x.astype(np.int16)
+        x <<= r
+        entries = [
+            fm.take(x[..., i] | y[..., j]) ^ fm.take(x[..., i + 1] | y[..., j + 2])
+            for i in (0, 2)
+            for j in (0, 1)
+        ]
+        return np.stack(entries, axis=-1)
 
     # a transvection, the Weyl element and a generator of the diagonal torus
     gen = 0b10

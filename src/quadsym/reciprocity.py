@@ -17,6 +17,7 @@ from typing import Optional
 from .groups import (
     ClassSet,
     GroupTable,
+    PowerChains,
     class_power_chains,
     class_power_map,
     conjugacy_classes,
@@ -89,15 +90,18 @@ class SymbolCharacter:
         return self.values[a % self.modulus]
 
 
-def symbol_character(G: GroupTable, S: ClassSet) -> SymbolCharacter:
+def symbol_character(G: GroupTable, S: ClassSet, chains: Optional[PowerChains] = None) -> SymbolCharacter:
     """Tabulate the symbol over a full period 0..n-1.
 
     The class of rep^a depends only on a mod the exponent e, so the power
     chains give one class permutation, and one parity, per unit mod e.  Since
     n and e have the same prime factors, a is a unit mod n exactly when a mod
-    e is a unit mod e; every other residue gets 0.
+    e is a unit mod e; every other residue gets 0.  Chains already built may
+    be passed in any class numbering: renumbering conjugates each permutation
+    and keeps its parity.
     """
-    chains = class_power_chains(G, S)
+    if chains is None:
+        chains = class_power_chains(G, S)
     e = G.exponent
     by_residue = [
         permutation_parity(chains.at(a).tolist()) if math.gcd(a, e) == 1 else 0 for a in range(e)

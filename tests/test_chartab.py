@@ -10,6 +10,8 @@ from quadsym.chartab import (
     CharacterTable,
     CycInt,
     _modular_det,
+    _unit_perm,
+    _units,
     character_table,
     cyclotomic_polynomial,
     det_identities,
@@ -343,3 +345,35 @@ def test_export_format(build):
     assert len(lines) == 5
     assert all(len(line.split()) == 5 for line in lines)
     assert lines[0] == "[1,0,0,0] [1,0,0,0] [1,0,0,0] [1,0,0,0] [1,0,0,0]"
+
+
+def test_unit_perm_acts_by_multiplication():
+    for e in (1, 2, 3, 12, 30, 420):
+        units = _units(e)
+        for a in (*units, -1, e + 1):
+            want = [next(v for v in units if (v - a * u) % e == 0) for u in units]
+            assert [units[t] for t in _unit_perm(e, a)] == want, (e, a)
+
+
+def test_chartab_builds_the_power_chains_and_the_symbol_once(monkeypatch, capsys):
+    from quadsym import chartab, cli, reciprocity
+
+    calls = {"class_power_chains": 0, "symbol_character": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return original(*args, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (chartab, reciprocity):
+        counting(module, "class_power_chains")
+    counting(chartab, "symbol_character")
+    for text in ["sym:4", "cyclic:12", "q8"]:
+        calls.update(class_power_chains=0, symbol_character=0)
+        assert cli.main(["chartab", text, "--json"]) == 0
+        assert calls == {"class_power_chains": 1, "symbol_character": 1}, text
+    capsys.readouterr()

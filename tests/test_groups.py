@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from quadsym.cli import default_catalog
 from quadsym.groups import (
     GroupError,
     GroupTable,
@@ -335,6 +336,44 @@ def test_product_outside_the_elements_is_a_group_error():
         leaky.multiply(1, 3)
     with pytest.raises(GroupError, match="'leaky'"):
         verify_axioms(leaky)
+
+
+def test_lookup_finds_every_element_and_nothing_else():
+    # int64 keys (the catalog), 9-byte void keys (sym:5*sym:4) and int16 rows
+    for text in [*default_catalog(), "sym:5*sym:4", "dihedral:70*cyclic:3"]:
+        G = group(text)
+        found, miss = G._locate(G.rows)
+        assert not miss.any(), text
+        assert np.array_equal(found, np.arange(G.n)), text
+        # a first entry above every element's, then a pair of rows with it
+        off = G.rows.copy()
+        off[:, 0] = G.rows[:, 0].max() + 1
+        found, miss = G._locate(np.stack([off, off[::-1]]))
+        assert miss.shape == (2, G.n) and miss.all(), text
+        assert G.multiply_many(np.arange(G.n), G.identity_index).dtype == np.int16, text
+        assert G.multiply_many(np.arange(0), np.arange(0)).shape == (0,), text
+    assert G.rows.dtype == np.int16 and G._key.dtype == np.int64
+    assert group("sym:5*sym:4")._key.dtype.itemsize == 9
+
+
+def test_lookup_against_a_dict_of_rows():
+    # sym:7's rows: the even ones are alt:7's elements, the odd ones are misses
+    # that share its key width and hash into the same table
+    A, S = group("alt:7"), group("sym:7")
+    index = {row.tobytes(): i for i, row in enumerate(A.rows)}
+    found, miss = A._locate(S.rows)
+    want = [index.get(row.tobytes(), -1) for row in S.rows]
+    assert miss.tolist() == [k < 0 for k in want]
+    assert np.where(miss, -1, found).tolist() == want
+    assert miss.sum() == A.n
+
+
+def test_duplicate_encodings_are_a_group_error():
+    with pytest.raises(GroupError, match="duplicate encodings in 'dup'"):
+        GroupTable("dup", [0, 1, 2, 1], lambda a, b: (a + b) % 3, 0, [1])
+    with pytest.raises(GroupError, match="duplicate encodings in 'wide'"):
+        rows = np.array([[0] * 9, [1] * 9, [0] * 9], dtype=np.int8)
+        GroupTable("wide", range(3), lambda a, b: a, 0, [1], rows=rows)
 
 
 def _random_pairs(G, count=300, seed=0):
