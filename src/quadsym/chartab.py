@@ -4,10 +4,12 @@ integers.
 The table of a group with m classes and exponent e lives in Z[z] with z a
 primitive e-th root of unity.  We first find the m central characters as
 common eigenvectors of the class-multiplication matrices over F_P, where
-P = 1 mod e so F_P contains the needed roots of unity, then recover each
-entry exactly: the eigenvalue multiplicities of a representation at a group
-element are small nonnegative integers, so knowing them mod a large enough P
-pins them down.
+P = 1 mod e so F_P contains the needed roots of unity: a random combination
+of them, restricted to a common eigenspace, splits it by the roots of its
+characteristic polynomial (Hessenberg form, then one Horner pass over all
+of F_P).  We then recover each entry exactly: the eigenvalue multiplicities
+of a representation at a group element are small nonnegative integers, so
+knowing them mod a large enough P pins them down.
 
 The identities on a table are decided without arithmetic in Z[z]: for primes
 P = 1 mod e below 2^24, Phi_e splits mod P into the factors X - w^u (w of
@@ -43,38 +45,32 @@ class CharTableError(RuntimeError):
 # cyclotomic integers
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # integer polynomial division; den must be monic
-    num = num[:]
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
-    """Coefficients of the e-th cyclotomic polynomial, constant term first."""
+    """Coefficients of the e-th cyclotomic polynomial, constant term first.
+
+    Phi_e(X) = Phi_r(X^(e/r)) with r = rad(e), and Phi_r is the product of
+    (X^d - 1)^mu(r/d) over the divisors d of r.  The factors with mu = 1 are
+    multiplied in first, so that every division by X^d - 1 is exact.
+    """
     if e < 1:
         raise ValueError(f"conductor must be positive, got {e}")
-    if e == 1:
-        return (-1, 1)
-    num = [0] * (e + 1)
-    num[0] = -1
-    num[e] = 1
-    poly = num
-    for d in range(1, e):
-        if e % d == 0:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            if any(rem[1:]) or rem[0] != 0:
-                raise CharTableError(f"cyclotomic division left a remainder at e={e}, d={d}")
-    return tuple(poly)
+    primes = [p for p, _ in factorize(e).factors]
+    divisors = [(1, (-1) ** len(primes))]  # (d, mu(r/d))
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    poly = [1]
+    for d, mu in sorted(divisors, key=lambda t: -t[1]):
+        if mu == 1:  # times X^d - 1
+            poly = [b - a for a, b in zip(poly + [0] * d, [0] * d + poly)]
+        else:  # the quotient by X^d - 1, top coefficient first
+            poly = poly[d:]
+            for i in range(len(poly) - d - 1, -1, -1):
+                poly[i] += poly[i + d]
+    step = e // prod(primes)
+    out = [0] * (step * (len(poly) - 1) + 1)
+    out[::step] = poly
+    return tuple(out)
 
 
 class _CycBasis:
@@ -424,18 +420,50 @@ def _restrict(R: np.ndarray, basis: np.ndarray, pivots: list[int], P: int) -> np
     return coords.T
 
 
+def _charpoly(T: np.ndarray, P: int) -> np.ndarray:
+    """Coefficients mod P of det(x - T), constant term first.
+
+    T is brought to upper Hessenberg form H by similarity, one column at a
+    time.  Then p_k = det(x - H[:k, :k]) satisfies p_(k+1) = (x - h_kk) p_k
+    - sum over i < k of h_ik * h_(i+1,i) ... h_(k,k-1) * p_i.
+    """
+    H = T % P
+    d = len(H)
+    for j in range(d - 2):
+        below = np.flatnonzero(H[j + 1 :, j])
+        if not below.size:
+            continue  # the subcolumn is zero already
+        i = j + 1 + below[0]
+        H[[j + 1, i]] = H[[i, j + 1]]
+        H[:, [j + 1, i]] = H[:, [i, j + 1]]
+        u = H[j + 2 :, j] * pow(int(H[j + 1, j]), -1, P) % P
+        H[j + 2 :] -= u[:, None] * H[j + 1]  # row i -= u_i * row j + 1, and
+        H[j + 2 :] %= P
+        H[:, j + 1] += H[:, j + 2 :] @ u  # column j + 1 += u_i * column i
+        H[:, j + 1] %= P
+    polys = np.zeros((d + 1, d + 1), dtype=np.int64)  # row k: p_k
+    polys[0, 0] = 1
+    sub = np.ones(d, dtype=np.int64)
+    for k in range(d):
+        sub[:k] = sub[:k] * H[k, k - 1] % P  # sub[i] = h_(i+1,i) ... h_(k,k-1)
+        polys[k + 1, 1:] = polys[k, :-1]
+        polys[k + 1] -= H[k, k] * polys[k] + (H[:k, k] * sub[:k] % P) @ polys[:k]
+        polys[k + 1] %= P
+    return polys[d]
+
+
 def _split_space(space, R, P):
     basis, pivots = space
     d = len(basis)
     T = _restrict(R, basis, pivots, P)
+    lams = np.arange(P)
+    values = np.zeros(P, dtype=np.int64)
+    for c in _charpoly(T, P)[::-1].tolist():  # Horner at every lam at once
+        values = (values * lams + c) % P
     eye = np.eye(d, dtype=np.int64)
     pieces = []
     found = 0
-    for lam in range(P):
-        if lam % 16 == 0:  # det(T - lam) for the next 16 values at once
-            dets = _det_stack(T - np.arange(lam, min(lam + 16, P))[:, None, None] * eye, P)
-        if dets[lam % 16]:
-            continue
+    for lam in np.flatnonzero(values == 0).tolist():
         sub_rref, sub_pivots = _rref(_nullspace((T - lam * eye) % P, P) @ basis % P, P)
         pieces.append((sub_rref, sub_pivots))
         found += len(sub_rref)

@@ -3,13 +3,19 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quadsym.chartab import (
     CharTableError,
     CharacterTable,
     CycInt,
+    _charpoly,
+    _common_eigenvectors,
+    _det_stack,
     _modular_det,
+    _restrict,
+    _split_space,
     _unit_perm,
     _units,
     character_table,
@@ -21,6 +27,7 @@ from quadsym.chartab import (
 )
 from quadsym.groups import OrderCapExceeded, conjugacy_classes, make_group
 from quadsym.groupspec import parse_group_spec
+from quadsym.ntheory import fundamental_discriminant
 from quadsym.reciprocity import discriminant, real_complex_split, symbol_character
 
 
@@ -56,6 +63,56 @@ def test_cyclotomic_polynomials_multiply_back():
         want = [0] * (e + 1)
         want[0], want[e] = -1, 1
         assert prod == want, e
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for e in range(1, 1001):
+        poly = cyclotomic_polynomial(e)
+        assert list(poly) == sympy.cyclotomic_poly(e, x, polys=True).all_coeffs()[::-1], e
+        assert len(poly) - 1 == sympy.totient(e), e
+
+
+def test_charpoly_matches_the_determinant_scan():
+    # the oracle: det(lam - T) at every lam in F_P, one batched elimination
+    rng = np.random.default_rng(41)
+    cases = [(rng.integers(0, P, (d, d)), P) for P in (2, 3, 7, 101, 421) for d in (1, 2, 3, 5, 8)]
+    # entries mostly zero, so that zero subcolumns and row swaps are common
+    cases += [(rng.integers(0, 3, (6, 6)) * rng.integers(0, 2, (6, 6)), 3) for _ in range(20)]
+    zero_subcolumn = rng.integers(0, 101, (5, 5))
+    zero_subcolumn[1:, 0] = 0  # the first Hessenberg step has nothing to clear
+    swap = rng.integers(0, 101, (5, 5))
+    swap[1:3, 0] = 0, 5  # the first pivot sits below the subdiagonal
+    scalar = 7 * np.eye(4, dtype=np.int64)
+    jordan = np.eye(6, k=1, dtype=np.int64)  # nilpotent
+    cases += [(zero_subcolumn, 101), (swap, 101), (scalar, 101), (jordan, 101)]
+    for T, P in cases:
+        d, before = len(T), T.copy()
+        coeffs = _charpoly(T, P).tolist()
+        assert (T == before).all()
+        assert len(coeffs) == d + 1 and coeffs[-1] == 1
+        values = [sum(c * pow(lam, k, P) for k, c in enumerate(coeffs)) % P for lam in range(P)]
+        eye = np.eye(d, dtype=np.int64)
+        assert values == _det_stack(np.arange(P)[:, None, None] * eye - T, P).tolist(), (T, P)
+    assert _charpoly(scalar, 101).tolist() == [c % 101 for c in (7**4, -4 * 7**3, 6 * 7**2, -4 * 7, 1)]
+    assert _charpoly(jordan, 101).tolist() == [0] * 6 + [1]
+
+
+def test_splitting_failures_raise():
+    P = 7
+    plane = (np.eye(2, dtype=np.int64), [0, 1])
+    # one eigenvalue with a line of eigenvectors, and x^2 + 1, which has no root mod 7
+    for R in ([[3, 1], [0, 3]], [[0, -1], [1, 0]]):
+        with pytest.raises(CharTableError, match="not simultaneously diagonalizable"):
+            _split_space(plane, np.array(R) % P, P)
+    with pytest.raises(CharTableError, match="not invariant"):
+        _restrict(np.array([[0, 1], [1, 0]]), np.array([[1, 0]]), [0], P)
+    # the identity and a nilpotent matrix: every combination with a nonzero
+    # nilpotent part fails to split
+    Ns = np.stack([np.eye(2, dtype=np.int64), np.eye(2, k=1, dtype=np.int64)])
+    with pytest.raises(CharTableError, match=r"g: eigenspace splitting did not converge in 4 attempts \(P = 7\)"):
+        _common_eigenvectors(Ns, P, "g", 0)
 
 
 def test_cycint_basics():
@@ -229,10 +286,11 @@ def test_first_row_is_trivial_character(build):
 
 
 def test_tables_are_seed_independent(build):
-    for label in ["alt:5", "sl2:8", "cyclic:16", "cyclic:3*dihedral:4"]:
+    # cyclic:11*sym:3 (m = 33) takes the splitting path past the class cap
+    for label in ["alt:5", "sl2:8", "cyclic:16", "cyclic:3*dihedral:4", "cyclic:11*sym:3"]:
         b = build(label)
-        T1 = character_table(b.G, b.S, b.split, seed=0)
-        T2 = character_table(b.G, b.S, b.split, seed=987654321)
+        T1 = character_table(b.G, b.S, b.split, seed=0, max_classes=b.S.m)
+        T2 = character_table(b.G, b.S, b.split, seed=987654321, max_classes=b.S.m)
         assert T1 == T2
 
 
@@ -313,6 +371,19 @@ def test_det_identities_hand_values(build):
         assert det.ok, [c for c in det.checks if not c.ok]
         assert (det.det_squared, det.ell) == (det2, ell), label
         assert det.det_squared == ell * ell * b.D.value.value()
+
+
+def test_psl27_table(build):
+    # PSL(2, 7) on the 7 points of the Fano plane: non-abelian, and its two
+    # classes of elements of order 7 are a non-real pair
+    b, T = table_for(build, "perm:[(1 2 3 4 5 6 7),(1 2)(3 6)]")
+    assert (b.G.n, T.m, T.prime, T.degrees) == (168, 6, 337, (1, 3, 3, 6, 7, 8))
+    assert b.split.r2 == 1
+    verify_orthogonality(b.G, b.S, T)
+    det = det_identities(b.G, b.S, b.split, T, b.D)
+    assert [c.ok for c in det.checks] == [True] * 5
+    assert (det.det_squared, det.ell, b.D.value.value()) == (-790272, 7, -16128)
+    assert fundamental_discriminant(b.D.value).d_K == -7
 
 
 def test_sl2_16_past_the_class_cap(build):
