@@ -16,10 +16,12 @@ P = 1 mod e below 2^24, Phi_e splits mod P into the factors X - w^u (w of
 order e, u a unit mod e), so the phi(e) images under z -> w^u identify Z[z]/P
 with F_P^phi.  An element with coefficients of size at most B vanishes once
 its images vanish mod primes with product Q > 2B, and is recovered from them
-by interpolation and CRT.  With C_e = max over k of |z^k|_1, the determinant
-takes B_det = C_e * prod_i sum_j |chi_ij|_1 (Leibniz), orthogonality B_orth =
-C_e * max sum_j h_j |chi_ij|_1 |chi_i2j|_1 + n, and z -> z^a moves the image
-at u to the image at u * a, which decides the Galois checks.
+by interpolation and CRT.  With C_e = max over k of |z^k|_1, orthogonality
+takes B_orth = C_e * max sum_j h_j |chi_ij|_1 |chi_i2j|_1 + n.  Once the
+column norms sum_i |chi_ij|^2 = c_j are decided, Hadamard bounds det at every
+embedding by (prod_j c_j)^(1/2), and Lagrange interpolation at the roots of
+Phi_e turns that into B_det (_det_bound).  z -> z^a moves the image at u to
+the image at u * a, which decides the Galois checks.
 """
 from __future__ import annotations
 
@@ -45,29 +47,35 @@ class CharTableError(RuntimeError):
 # cyclotomic integers
 
 
+def _squarefree_divisors(e: int) -> list[tuple[int, int]]:
+    """The pairs (r, mu(r)) over the squarefree divisors r of e, 1 first."""
+    divisors = [(1, 1)]
+    for p, _ in factorize(e).factors:
+        divisors += [(r * p, -mu) for r, mu in divisors]
+    return divisors
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients of the e-th cyclotomic polynomial, constant term first.
 
-    Phi_e(X) = Phi_r(X^(e/r)) with r = rad(e), and Phi_r is the product of
-    (X^d - 1)^mu(r/d) over the divisors d of r.  The factors with mu = 1 are
-    multiplied in first, so that every division by X^d - 1 is exact.
+    Phi_e(X) = Phi_s(X^(e/s)) with s = rad(e), and Phi_s is the product of
+    (X^(s/r) - 1)^mu(r) over the divisors r of s.  The factors with mu = 1
+    are multiplied in first, so that every division by X^d - 1 is exact.
     """
     if e < 1:
         raise ValueError(f"conductor must be positive, got {e}")
-    primes = [p for p, _ in factorize(e).factors]
-    divisors = [(1, (-1) ** len(primes))]  # (d, mu(r/d))
-    for p in primes:
-        divisors += [(d * p, -mu) for d, mu in divisors]
+    divisors = _squarefree_divisors(e)
+    rad = divisors[-1][0]
     poly = [1]
-    for d, mu in sorted(divisors, key=lambda t: -t[1]):
+    for d, mu in sorted(((rad // r, mu) for r, mu in divisors), key=lambda t: -t[1]):
         if mu == 1:  # times X^d - 1
             poly = [b - a for a, b in zip(poly + [0] * d, [0] * d + poly)]
         else:  # the quotient by X^d - 1, top coefficient first
             poly = poly[d:]
             for i in range(len(poly) - d - 1, -1, -1):
                 poly[i] += poly[i + d]
-    step = e // prod(primes)
+    step = e // rad
     out = [0] * (step * (len(poly) - 1) + 1)
     out[::step] = poly
     return tuple(out)
@@ -357,15 +365,41 @@ def _l1(z: CycInt) -> int:
     return sum(map(abs, z.coeffs))
 
 
-def _modular_det(rows: Sequence[Sequence[CycInt]], e: int, label: str):
-    """The determinant of a square matrix over Z[z], with the primes and the
-    images of the determinant it was lifted from.
+def _derivative_bound(e: int) -> tuple[int, int]:
+    """(num, den) with num / den <= |Phi_e'(zeta)| at every primitive e-th
+    root of unity zeta.
 
-    The bound is B_det = C_e * prod_i sum_j |M_ij|_1, with C_e the largest
-    |z^k|_1 over k < e: the Leibniz expansion, its exponents taken mod e and
-    then reduced once, bounds both |det|_1 and |sigma_a(det)|_1 by it.
+    Phi_e(X) = (X^e - 1) * prod over squarefree r > 1 dividing e of
+    (X^(e/r) - 1)^mu(r), and zeta^(e/r) has order r, so |Phi_e'(zeta)| =
+    e * prod |zeta^(e/r) - 1|^mu(r) with every factor in [2 sin(pi/r), 2],
+    and 2 sin(pi/r) >= 4/r.
     """
-    bound = _basis(e).root_norm * prod(sum(map(_l1, row)) for row in rows)
+    num, den = e, 1
+    for r, mu in _squarefree_divisors(e)[1:]:
+        num, den = (num * 4, den * r) if mu == 1 else (num, den * 2)
+    return num, den
+
+
+def _det_bound(e: int, centralizers: Sequence[int]) -> int:
+    """A bound on the coefficients of det M, for M over Z[z] whose column j
+    has sum_i |sigma(M_ij)|^2 = c_j at every complex embedding sigma.
+
+    Hadamard: |sigma(det M)| < H = isqrt(prod_j c_j) + 1.  The coefficients
+    are V^-1 applied to the phi embeddings, with V^-1[k, t] = q_tk /
+    Phi_e'(zeta_t) and q_t = Phi_e / (X - zeta_t), whose coefficients are
+    tails of Phi_e's times powers of zeta_t, so |q_tk| <= |Phi_e|_1.  That
+    gives phi * |Phi_e|_1 * H / L with L from _derivative_bound.
+    """
+    poly = cyclotomic_polynomial(e)
+    num, den = _derivative_bound(e)
+    top = (len(poly) - 1) * sum(map(abs, poly)) * (isqrt(prod(centralizers)) + 1) * den
+    return -(-top // num)
+
+
+def _modular_det(rows: Sequence[Sequence[CycInt]], e: int, bound: int, label: str):
+    """The determinant of a square matrix over Z[z], with the primes and the
+    images of the determinant it was lifted from; ``bound`` must bound every
+    coefficient of det."""
     coeffs, Q, primes, images = [0] * _basis(e).phi, 1, [], []
     for P, interp, E in _images(rows, e, bound, label):
         images.append(_det_stack(E, P))
@@ -702,9 +736,32 @@ def det_identities(
     automorphism z -> z^a scales det by the symbol at a, because it permutes
     the columns by the class power map; det^2 is 0 or 1 mod 4.  The Galois
     checks compare images: z -> z^a moves the image at unit u to u * a.
+
+    The determinant is lifted under _det_bound, which holds once every
+    column j has norm sum_i chi_ij * conj(chi_ij) = c_j = n / h_j; that is
+    decided first, and a column that fails it raises CharTableError.
     """
     e = T.conductor
-    det, primes, s = _modular_det(T.entries, e, T.label)
+    centralizers = np.array([G.n // S.classes[j].size for j in T.class_order])
+    # a column norm minus c_j has coefficients below C_e * sum_i |chi_ij|_1^2
+    # + n, and sigma_a(chi_ij) - chi_ik below 2 * C_e * max |chi|_1
+    norms = np.array([[_l1(z) for z in row] for row in T.entries], dtype=object)
+    C = _basis(e).root_norm
+    col_bound = max(C * norms.max(), C * (norms * norms).sum(axis=0).max() + G.n)
+    found = list(_images(T.entries, e, col_bound, T.label))
+    E = np.stack([E for _, _, E in found])
+    P = np.array([P for P, _, _ in found])[:, None, None]
+    bad = (E * E[:, _unit_perm(e, -1)]).sum(axis=2) % P != centralizers % P  # per prime, unit, column
+    if bad.any():
+        j = int(bad.any(axis=(0, 1)).argmax())
+        column = [row[j] for row in T.entries]
+        total = sum((x * galois_apply(x, -1) for x in column), CycInt.integer(e, 0))
+        raise CharTableError(
+            f"{T.label}: column {j} has norm {total}, want {centralizers[j]}, so Hadamard's "
+            f"bound on det does not hold (P = {P[bad[..., j].any(axis=1).argmax(), 0, 0]})"
+        )
+
+    det, primes, s = _modular_det(T.entries, e, _det_bound(e, centralizers.tolist()), T.label)
     checks = []
 
     det2 = det * det
@@ -727,9 +784,6 @@ def det_identities(
     conj_ok = scales_det(-1)
     checks.append(_check("conjugate_det", conj_ok, f"conj(det) != ({sym(-1)}) * det"))
 
-    # sigma_a(chi_ij) - chi_ik has coefficients below 2 * C_e * max |chi|_1
-    col_bound = _basis(e).root_norm * max(_l1(z) for row in T.entries for z in row)
-    E = np.stack([E for _, _, E in _images(T.entries, e, col_bound, T.label)])
     galois_witness = column_witness = None
     for a in _units(e):
         moved = (E[:, _unit_perm(e, a)] != E[..., chains.at(a)]).any(axis=(0, 1))

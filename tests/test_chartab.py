@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from quadsym.chartab import (
     CycInt,
     _charpoly,
     _common_eigenvectors,
+    _derivative_bound,
+    _det_bound,
     _det_stack,
+    _embedding_prime,
     _modular_det,
     _restrict,
     _split_space,
@@ -27,7 +31,7 @@ from quadsym.chartab import (
 )
 from quadsym.groups import OrderCapExceeded, conjugacy_classes, make_group
 from quadsym.groupspec import parse_group_spec
-from quadsym.ntheory import fundamental_discriminant
+from quadsym.ntheory import factorize, fundamental_discriminant
 from quadsym.reciprocity import discriminant, real_complex_split, symbol_character
 
 
@@ -184,7 +188,16 @@ def leibniz_det(rows, e):
     return total
 
 
+def leibniz_bound(rows, e):
+    # C_e * prod_i sum_j |M_ij|_1, with C_e the largest |z^k|_1 over k < e:
+    # the Leibniz expansion, its exponents taken mod e and then reduced once
+    l1 = lambda z: sum(map(abs, z.coeffs))
+    root_norm = max(l1(CycInt.root_power(e, k)) for k in range(e))
+    return root_norm * math.prod(sum(map(l1, row)) for row in rows)
+
+
 def test_modular_det_matches_leibniz():
+    # random matrices have no column norms to prove, so the Leibniz bound
     rng = random.Random(31)
     big = 10**6
     for e in (1, 2, 4, 5, 12, 105):
@@ -192,18 +205,56 @@ def test_modular_det_matches_leibniz():
         rand = lambda: CycInt(e, tuple(rng.randrange(-big, big + 1) for _ in range(phi)))
         for m in range(1, 6):
             rows = [[rand() for _ in range(m)] for _ in range(m)]
-            det, primes, _ = _modular_det(rows, e, "random")
+            det, primes, _ = _modular_det(rows, e, leibniz_bound(rows, e), "random")
             assert det == leibniz_det(rows, e), (e, m)
             if m > 1:
                 assert len(primes) >= 2, (e, m)
         # a zero (0, 0) entry forces a row swap in every image
         rows = [[rand() for _ in range(3)] for _ in range(3)]
         rows[0][0] = CycInt.integer(e, 0)
-        assert _modular_det(rows, e, "swap")[0] == leibniz_det(rows, e), e
+        assert _modular_det(rows, e, leibniz_bound(rows, e), "swap")[0] == leibniz_det(rows, e), e
         # the third row is a Z[z]-combination of the first two
         u, v = rand(), rand()
         rows[2] = [u * a + v * b for a, b in zip(rows[0], rows[1])]
-        assert _modular_det(rows, e, "singular")[0] == 0, e
+        assert _modular_det(rows, e, leibniz_bound(rows, e), "singular")[0] == 0, e
+
+
+def test_derivative_bound_is_below_the_discriminant():
+    # |disc Phi_e| = prod over the primitive e-th roots zeta of |Phi_e'(zeta)|
+    # = e^phi / prod over p | e of p^(phi / (p - 1)), and each factor is >= L
+    for e in range(1, 1001):
+        num, den = _derivative_bound(e)
+        phi = len(cyclotomic_polynomial(e)) - 1
+        primes = [p for p, _ in factorize(e).factors]
+        assert num**phi * math.prod(p ** (phi // (p - 1)) for p in primes) <= (e * den) ** phi, e
+    # and root by root, in floating point with room for rounding: L is
+    # attained at e = 1, 2, 4
+    for e in range(1, 201):
+        num, den = _derivative_bound(e)
+        poly = np.array(cyclotomic_polynomial(e), dtype=float)
+        zetas = np.exp(2j * np.pi * np.array(_units(e)) / e)
+        deriv = np.polyval((poly * np.arange(len(poly)))[:0:-1], zetas)
+        assert np.abs(deriv).min() >= num / den * (1 - 1e-9), e
+
+
+def test_det_bound_is_sound_and_sets_the_prime_count(build, catalog):
+    labels = [label for label in catalog if build(label).S.m <= 16]
+    labels += ["cyclic:11*sym:3", "dihedral:12*sym:4", "sl2:16", "perm:[(1 2 3 4 5 6 7),(1 2)(3 6)]"]
+    counts = {}
+    for label in labels:
+        b = build(label)
+        T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
+        e = T.conductor
+        bound = _det_bound(e, [b.G.n // b.S.classes[j].size for j in T.class_order])
+        det, primes, _ = _modular_det(T.entries, e, bound, label)
+        assert det == _modular_det(T.entries, e, leibniz_bound(T.entries, e), label)[0], label
+        assert max(map(abs, det.coeffs)) <= bound, label
+        # the least number of primes, taken largest first, with Q > 2B
+        assert primes.tolist() == [_embedding_prime(e, k) for k in range(len(primes))], label
+        assert math.prod(primes[:-1].tolist()) <= 2 * bound < math.prod(primes.tolist()), label
+        assert det_identities(b.G, b.S, b.split, T, b.D).det == det, label
+        counts[label] = len(primes)
+    assert (counts["cyclic:11*sym:3"], counts["dihedral:12*sym:4"]) == (5, 6)
 
 
 def test_cyclic_tables_match_roots_of_unity(build):
@@ -338,11 +389,21 @@ def test_det_identities_detect_corruption(build):
         ("galois_permutes_columns", False, "a = 2, row 4, column 0"),
         ("det_squared_mod_4", False, "det^2 = 0 = 0 mod 4"),
     ]
-    # a zero row bounds det by 0, which still takes one prime
+    # a zero row takes 1 from every column norm, which the bound on det needs
     rows = T.entries[:-1] + ((CycInt.integer(5, 0),) * 5,)
-    report = det_identities(b.G, b.S, b.split, dataclasses.replace(T, entries=rows), b.D)
-    assert report.det == 0
-    assert [c.name for c in report.checks if not c.ok] == ["det_squared_is_ell2_d"]
+    with pytest.raises(CharTableError, match=r"^cyclic:5: column 0 has norm 4, want 5, .* \(P = \d+\)$"):
+        det_identities(b.G, b.S, b.split, dataclasses.replace(T, entries=rows), b.D)
+
+
+def test_det_identities_need_the_column_norms(build):
+    for label in ["cyclic:5", "sym:4", "perm:[(1 2 3 4 5 6 7),(1 2)(3 6)]"]:
+        b, T = table_for(build, label)
+        for j in range(T.m):
+            rows = tuple(row[:j] + (2 * row[j],) + row[j + 1 :] for row in T.entries)
+            c = b.G.n // b.S.classes[T.class_order[j]].size
+            want = rf"^{re.escape(label)}: column {j} has norm {4 * c}, want {c}, "
+            with pytest.raises(CharTableError, match=want):
+                det_identities(b.G, b.S, b.split, dataclasses.replace(T, entries=rows), b.D)
 
 
 def test_det_squared_matches_vandermonde_formula(build):
