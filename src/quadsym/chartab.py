@@ -288,9 +288,11 @@ def _embedding_prime(e: int, k: int) -> Optional[int]:
     return P if P > e else None
 
 
+@lru_cache(maxsize=None)
 def _embedding_maps(e: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     """vander[t, k] = w^(units[t] * k) mod P, which maps the power basis to
-    the images, and its inverse mod P."""
+    the images, and its inverse mod P; both read-only, as the cache hands
+    them to every caller."""
     basis = _basis(e)
     phi = basis.phi
     w = pow(_primitive_root(P), (P - 1) // e, P)
@@ -307,7 +309,10 @@ def _embedding_maps(e: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     deriv = np.zeros(phi, dtype=np.int64)
     for c in range(phi - 1, -1, -1):
         deriv = (deriv * x + quot[c]) % P
-    return vander, quot * np.array([pow(d, -1, P) for d in deriv.tolist()]) % P
+    interp = quot * np.array([pow(d, -1, P) for d in deriv.tolist()]) % P
+    vander.setflags(write=False)
+    interp.setflags(write=False)
+    return vander, interp
 
 
 def _images(rows: Sequence[Sequence[CycInt]], e: int, bound: int, label: str):

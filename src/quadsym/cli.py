@@ -11,11 +11,11 @@ unparsable spec, 3 a size cap was exceeded.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 from importlib import resources
 
@@ -243,6 +243,13 @@ def _verify_one(label: str, args) -> tuple[Optional[VerificationReport], int]:
 
 
 def _cmd_verify(args) -> int:
+    if args.spec is not None and args.catalog is not None:
+        print(
+            f"error: verify takes a spec or --catalog, not both "
+            f"(got {args.spec!r} and --catalog {args.catalog!r})",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     if args.spec is not None:
         _, code = _verify_one(args.spec, args)
         return code
@@ -306,77 +313,170 @@ def _cmd_sl2_formula(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Arg(NamedTuple):
+    """An option when ``name`` starts with "--", else a positional."""
+
+    name: str
+    kind: Optional[Callable] = str  # int or str; None for a switch, False unless given
+    metavar: Optional[str] = None
+    help: Optional[str] = None
+    default: object = None
+    nargs: Optional[str] = None  # "?" for a positional that may be left out
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+
+class _Command(NamedTuple):
+    func: Callable
+    help: str
+    args: tuple[_Arg, ...]
+    one_of: bool = False  # exactly one of the options in ``args`` is required
+
+
+_COMMON = (
+    _Arg("--json", None, help="one JSON object per line"),
+    _Arg(
+        "--max-order",
+        int,
+        "N",
+        f"refuse groups larger than N (default {DEFAULT_MAX_ORDER})",
+        DEFAULT_MAX_ORDER,
+    ),
+    _Arg("--seed", int, "S", "seed for randomized internals", 0),
+)
+_SPEC = _Arg("spec")
+
+# The command line grammar, read by both _parse_table and build_parser; every
+# command takes _COMMON first.
+_COMMANDS = {
+    "disc": _Command(_cmd_disc, "discriminant of a group", (_SPEC,)),
+    "classes": _Command(_cmd_classes, "conjugacy class data", (_SPEC,)),
+    "symbol": _Command(
+        _cmd_symbol,
+        "quadratic symbol values",
+        (
+            _SPEC,
+            _Arg("--a", int, help="evaluate at one integer"),
+            _Arg("--table", None, help="tabulate over 0..n-1"),
+        ),
+        one_of=True,
+    ),
+    "chartab": _Command(_cmd_chartab, "exact character table", (_SPEC,)),
+    "verify": _Command(
+        _cmd_verify,
+        "verify the symbol identities",
+        (
+            _Arg("spec", nargs="?"),
+            _Arg("--catalog", str, "FILE", "verify every spec listed in FILE"),
+        ),
+    ),
+    "kronecker": _Command(
+        _cmd_kronecker, "Kronecker symbol (d/a)", (_Arg("d", int), _Arg("a", int))
+    ),
+    "jacobi": _Command(_cmd_jacobi, "Jacobi symbol (a/n)", (_Arg("a", int), _Arg("n", int))),
+    "sl2-formula": _Command(
+        _cmd_sl2_formula,
+        "closed-form discriminant for unimodular 2x2 matrices over GF(2^r)",
+        (_Arg("r", int),),
+    ),
+}
+
+
+def _parse_table(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace ``build_parser().parse_args(argv)`` gives, for a command
+    line in canonical form, else None.
+
+    Canonical: the command first, options by their exact names and each at
+    most once, no value or positional starting with "-", every int valid,
+    the right number of positionals.  Everything else, help included, is
+    left to argparse.
+    """
+    cmd = _COMMANDS.get(argv[0]) if argv else None
+    if cmd is None:
+        return None
+    args = _COMMON + cmd.args
+    options = {arg.name: arg for arg in args if arg.name.startswith("-")}
+    positionals = [arg for arg in args if arg.name not in options]
+    values = {arg.dest: False if arg.kind is None else arg.default for arg in args}
+    given, rest, tokens = set(), [], iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                rest.append(token)
+                continue
+            arg = options.get(token)
+            if arg is None or token in given:
+                return None
+            given.add(token)
+            if arg.kind is None:
+                values[arg.dest] = True
+                continue
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            values[arg.dest] = arg.kind(value)
+        if cmd.one_of and len(given & {arg.name for arg in cmd.args}) != 1:
+            return None
+        if not sum(arg.nargs is None for arg in positionals) <= len(rest) <= len(positionals):
+            return None
+        for arg, token in zip(positionals, rest):
+            values[arg.dest] = arg.kind(token)
+    except ValueError:
+        return None
+    return SimpleNamespace(command=argv[0], **values, func=cmd.func)
+
+
+def _add_argument(parser, arg: _Arg) -> None:
+    if arg.kind is None:
+        parser.add_argument(arg.name, action="store_true", help=arg.help)
+    else:
+        parser.add_argument(
+            arg.name,
+            type=arg.kind,
+            metavar=arg.metavar,
+            help=arg.help,
+            default=arg.default,
+            nargs=arg.nargs,
+        )
+
+
+def build_parser():
+    """The argparse tree of ``_COMMANDS``: help, usage errors and every
+    command line that ``_parse_table`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="quadsym",
         description="quadratic symbols, discriminants and character tables of finite groups",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="one JSON object per line")
-    common.add_argument(
-        "--max-order",
-        type=int,
-        default=DEFAULT_MAX_ORDER,
-        metavar="N",
-        help=f"refuse groups larger than N (default {DEFAULT_MAX_ORDER})",
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, metavar="S", help="seed for randomized internals"
-    )
+    for arg in _COMMON:
+        _add_argument(common, arg)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("disc", parents=[common], help="discriminant of a group")
-    p.add_argument("spec")
-    p.set_defaults(func=_cmd_disc)
-
-    p = sub.add_parser("classes", parents=[common], help="conjugacy class data")
-    p.add_argument("spec")
-    p.set_defaults(func=_cmd_classes)
-
-    p = sub.add_parser("symbol", parents=[common], help="quadratic symbol values")
-    p.add_argument("spec")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--a", type=int, help="evaluate at one integer")
-    g.add_argument("--table", action="store_true", help="tabulate over 0..n-1")
-    p.set_defaults(func=_cmd_symbol)
-
-    p = sub.add_parser("chartab", parents=[common], help="exact character table")
-    p.add_argument("spec")
-    p.set_defaults(func=_cmd_chartab)
-
-    p = sub.add_parser("verify", parents=[common], help="verify the symbol identities")
-    p.add_argument("spec", nargs="?", default=None)
-    p.add_argument("--catalog", metavar="FILE", help="verify every spec listed in FILE")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("kronecker", parents=[common], help="Kronecker symbol (d/a)")
-    p.add_argument("d", type=int)
-    p.add_argument("a", type=int)
-    p.set_defaults(func=_cmd_kronecker)
-
-    p = sub.add_parser("jacobi", parents=[common], help="Jacobi symbol (a/n)")
-    p.add_argument("a", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_jacobi)
-
-    p = sub.add_parser(
-        "sl2-formula",
-        parents=[common],
-        help="closed-form discriminant for unimodular 2x2 matrices over GF(2^r)",
-    )
-    p.add_argument("r", type=int)
-    p.set_defaults(func=_cmd_sl2_formula)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=cmd.help)
+        group = p.add_mutually_exclusive_group(required=True) if cmd.one_of else p
+        for arg in cmd.args:
+            _add_argument(group if arg.name.startswith("-") else p, arg)
+        p.set_defaults(func=cmd.func)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(400_000)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_table(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if args.max_order < 1:
+        print(f"error: --max-order must be at least 1, got {args.max_order}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except _ERRORS as exc:

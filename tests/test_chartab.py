@@ -509,3 +509,33 @@ def test_chartab_builds_the_power_chains_and_the_symbol_once(monkeypatch, capsys
         assert cli.main(["chartab", text, "--json"]) == 0
         assert calls == {"class_power_chains": 1, "symbol_character": 1}, text
     capsys.readouterr()
+
+
+def test_chartab_builds_the_embedding_maps_once_per_prime(monkeypatch, capsys):
+    import hashlib
+    import json
+    from pathlib import Path
+
+    from quadsym import chartab, cli
+
+    cached = chartab._embedding_maps
+    asked = []
+
+    def spy(e, P):
+        asked.append((e, P))
+        return cached(e, P)
+
+    monkeypatch.setattr(chartab, "_embedding_maps", spy)
+    cached.cache_clear()
+    assert cli.main(["chartab", "sym:7", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert len(asked) > len(set(asked)) and cached.cache_info().misses == len(set(asked))
+    vander, interp = cached(*asked[0])
+    assert not vander.flags.writeable and not interp.flags.writeable
+    # the bytes of a cold cache, of a warm one, and of the benchmark's reference
+    assert cli.main(["chartab", "sym:7", "--json"]) == 0
+    assert capsys.readouterr().out == out
+    reference = Path(__file__).parents[1] / "bench" / "reference.json"
+    if reference.is_file():
+        want = json.loads(reference.read_text())["outputs"]["chartab sym:7"]
+        assert hashlib.sha256(out.encode()).hexdigest() == want

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quadsym import cli
 from quadsym.cli import default_catalog, load_catalog, main
 
 
@@ -182,3 +187,140 @@ def test_classes_json_golden(capsys):
         code, out, _ = run(capsys, "classes", json.loads(line)["label"], "--json")
         assert code == 0
         assert out == line + "\n"
+
+
+def test_verify_spec_with_catalog_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "cyclic:3", "--catalog", "/nonexistent")
+    assert code == 2 and out == ""
+    assert "cyclic:3" in err and "--catalog" in err and "/nonexistent" in err
+
+
+@pytest.mark.parametrize(
+    "argv, cap", [(["--max-order", "0"], 0), (["--max-order=-5"], -5), (["--max-order", " -5"], -5)]
+)
+def test_max_order_below_one_is_a_usage_error(argv, cap, capsys, monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("built a group under a cap below 1")
+
+    monkeypatch.setattr(cli, "make_group", refuse)
+    code, out, err = run(capsys, "verify", "cyclic:3", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --max-order must be at least 1, got {cap}\n"
+
+
+def test_usage_golden(capsys, monkeypatch):
+    # help and argparse's usage errors, byte for byte, as Python 3.11's argparse
+    # prints them at COLUMNS=80
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads(Path(__file__).with_name("cli_usage_golden.json").read_text())
+    assert {tuple(g["argv"]) for g in golden} >= {("-h",)} | {(c, "-h") for c in cli._COMMANDS}
+    for g in golden:
+        assert run(capsys, *g["argv"]) == (g["code"], g["out"], g["err"]), g["argv"]
+
+
+_PARSER = cli.build_parser()
+_ARGS = {name: cli._COMMON + c.args for name, c in cli._COMMANDS.items()}
+_FLAGS = sorted({arg.name for args in _ARGS.values() for arg in args if arg.name.startswith("-")})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--json", "--seed", "0"],
+        ["verify", "cyclic:5", "--json", "--seed", "1", "--max-order", "100"],
+        ["verify", "--catalog", "cat.txt", "--json"],
+        ["symbol", "--table", "cyclic:5"],
+        ["symbol", "cyclic:5", "--a", "+3", "--json"],
+        ["chartab", "perm:[(1 2 3 4 5 6 7),(1 2)(3 6)]", "--seed", "7"],
+        ["kronecker", "5", "--json", "8"],
+        ["sl2-formula", "3"],
+    ],
+)
+def test_table_parser_takes_canonical_command_lines(argv):
+    assert vars(cli._parse_table(argv)) == vars(_PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["verify", "-h"],
+        ["verify", "--js"],
+        ["verify", "--seed=3"],
+        ["verify", "--seed", "-3"],
+        ["verify", "--json", "--json"],
+        ["verify", "--", "cyclic:5"],
+        ["verify", "a", "b"],
+        ["disc"],
+        ["disc", "q8", "--catalog", "x"],
+        ["jacobi", "x", "3"],
+        ["kronecker", "-16", "3"],
+        ["symbol", "q8"],
+        ["symbol", "q8", "--a", "2", "--table"],
+        ["--json", "verify"],
+    ],
+)
+def test_table_parser_declines_the_rest(argv):
+    assert cli._parse_table(argv) is None
+
+
+def _spellings(flag):
+    """A flag in full, abbreviated, and with ``=value``."""
+    return [flag, *(flag[:k] for k in range(3, len(flag))), flag + "=3", flag + "=-3", flag + "="]
+
+
+_VALUES = st.one_of(
+    st.integers(0, 30).map(str),
+    st.integers(-30, -1).map(str),
+    st.sampled_from(["sym:3", "cyclic:5", "q8", "", " 7", "+3", "1_0", "x"]),
+)
+_TOKENS = st.one_of(
+    st.sampled_from([s for flag in _FLAGS for s in _spellings(flag)]),
+    st.sampled_from(["-h", "--help", "--", "-", *cli._COMMANDS]),
+    _VALUES,
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command with one value per positional, some of its options, and up
+    to two tokens of any kind, in any order; or tokens without a command."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(_TOKENS, max_size=4))
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    pieces = []
+    for arg in _ARGS[name]:
+        if not arg.name.startswith("-"):
+            pieces.append([draw(_VALUES)])
+        elif draw(st.booleans()):
+            # one_of picks its branches evenly: mostly a value, sometimes any token
+            value = [] if arg.kind is None else [draw(st.one_of(_VALUES, _VALUES, _TOKENS))]
+            pieces.append([arg.name, *value])
+    pieces += draw(st.lists(_TOKENS.map(lambda token: [token]), max_size=2))
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_table_parser_agrees_with_argparse(argv):
+    got = cli._parse_table(argv)
+    if got is not None:
+        assert vars(got) == vars(_PARSER.parse_args(argv))
+
+
+def test_well_formed_call_leaves_argparse_unloaded():
+    src = Path(cli.__file__).parents[1]
+    code = (
+        "import sys; from quadsym import cli; cli.main(['verify','cyclic:5','--json']); "
+        "assert not {'argparse','gettext','locale'} & set(sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["label"] == "cyclic:5"
