@@ -7,9 +7,13 @@ common eigenvectors of the class-multiplication matrices over F_P, where
 P = 1 mod e so F_P contains the needed roots of unity: a random combination
 of them, restricted to a common eigenspace, splits it by the roots of its
 characteristic polynomial (Hessenberg form, then one Horner pass over all
-of F_P).  We then recover each entry exactly: the eigenvalue multiplicities
+of F_P), with the null spaces of all roots from one stacked row reduction.
+We then recover each entry exactly: the eigenvalue multiplicities
 of a representation at a group element are small nonnegative integers, so
-knowing them mod a large enough P pins them down.
+knowing them mod a large enough P pins them down.  The eliminations mod P
+reduce only the pivot row and column at each step; any other entry gains
+less than (P - 1)^2 per step, so c columns stay exact in int64 while
+c (P - 1)^2 + P < 2^63, which each elimination asserts.
 
 The identities on a table are decided without arithmetic in Z[z]: for primes
 P = 1 mod e below 2^24, Phi_e splits mod P into the factors X - w^u (w of
@@ -315,55 +319,68 @@ def _embedding_maps(e: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     return vander, interp
 
 
-def _images(rows: Sequence[Sequence[CycInt]], e: int, bound: int, label: str):
+def _images(
+    rows: Sequence[Sequence[CycInt]], e: int, bound: int, label: str, known: Sequence[tuple] = ()
+):
     """For each prime P = 1 mod e in turn, at least one and until their
     product exceeds 2 * bound: P, the interpolation matrix mod P, and E
-    with E[t] the matrix ``rows`` under z -> w^units[t] mod P."""
+    with E[t] the matrix ``rows`` under z -> w^units[t] mod P, read-only.
+    ``known`` holds such triples for the same rows, first prime first, from
+    an earlier call; they are reused."""
     m = len(rows)
     phi = _basis(e).phi
-    entries = [z.coeffs for row in rows for z in row]
-    try:
-        coeffs = np.array(entries, dtype=np.int64).reshape(m * m, phi)
-    except OverflowError:  # reduced per prime as Python ints
-        coeffs = np.array(entries, dtype=object).reshape(m * m, phi)
+    coeffs = None
     Q, P, k = 1, None, 0
     while k == 0 or Q <= 2 * bound:
-        if _embedding_prime(e, k) is None:
+        if k < len(known):
+            P, interp, E = known[k]
+        elif _embedding_prime(e, k) is None:
             raise CharTableError(f"{label}: too few primes 1 mod {e} below 2^24 (last P = {P})")
-        P = _embedding_prime(e, k)
-        # every int64 dot product below sums at most max(phi, m) products
-        assert max(phi, m) * (P - 1) ** 2 < 2**63, (phi, m, P)
-        vander, interp = _embedding_maps(e, P)
-        E = vander @ (coeffs % P).astype(np.int64, copy=False).T
-        E %= P
-        yield P, interp, E.reshape(phi, m, m)
+        else:
+            P = _embedding_prime(e, k)
+            if coeffs is None:
+                entries = [z.coeffs for row in rows for z in row]
+                try:
+                    coeffs = np.array(entries, dtype=np.int64).reshape(m * m, phi)
+                except OverflowError:  # reduced per prime as Python ints
+                    coeffs = np.array(entries, dtype=object).reshape(m * m, phi)
+            # every int64 dot product below sums at most max(phi, m) products
+            assert max(phi, m) * (P - 1) ** 2 < 2**63, (phi, m, P)
+            vander, interp = _embedding_maps(e, P)
+            E = vander @ (coeffs % P).astype(np.int64, copy=False).T
+            E %= P
+            E = E.reshape(phi, m, m)
+            E.setflags(write=False)
+        yield P, interp, E
         Q, k = Q * P, k + 1
 
 
 def _det_stack(A: np.ndarray, P: int) -> np.ndarray:
-    """Determinants mod P of a stack of square matrices, which it overwrites,
-    by fraction-free elimination on all of them at once.  Clearing column k
-    multiplies each later row by the pivot p_k, so det = prod p_k / prod_k
-    p_k^(m-1-k), that denominator being the product of the running products.
+    """Determinants mod P of a stack of square matrices, all at once, by
+    elimination with the pivot's inverse; the stack itself is left as it is.
+
+    Only the pivot column and the pivot row are reduced mod P at each step:
+    every other entry gains a product of two residues, below (P - 1)^2, per
+    step, so m steps stay exact in int64 while m (P - 1)^2 + P < 2^63.
     """
-    A %= P
+    A = A % P
     b, m, _ = A.shape
+    assert m * (P - 1) ** 2 + P < 2**63, (m, P)
     stack = np.arange(b)
-    pivots, scale = np.ones(b, dtype=np.int64), np.ones(b, dtype=np.int64)
+    det = np.ones(b, dtype=np.int64)
     odd = np.zeros(b, dtype=bool)  # an odd number of row swaps
     for k in range(m):
-        piv = k + (A[:, k:, k] != 0).argmax(axis=1)  # k itself when the column is zero
-        A[stack, k], A[stack, piv] = A[stack, piv], A[stack, k]
-        odd ^= piv != k
-        f = A[:, k + 1 :, k].copy()
-        rest = A[:, k + 1 :, k:]
-        rest *= A[:, k, k, None, None]
-        rest -= f[:, :, None] * A[:, None, k, k:]
-        rest %= P
-        scale = scale * pivots % P
-        pivots = pivots * A[:, k, k] % P
-    det = pivots * np.array([pow(s, P - 2, P) for s in scale.tolist()]) % P  # 0 stays 0
-    return np.where(odd, (P - det) % P, det)
+        col = A[:, k:, k] % P
+        piv = (col != 0).argmax(axis=1)  # 0 when the column is zero, and det is 0
+        if piv.any():
+            A[stack, k, k:], A[stack, k + piv, k:] = A[stack, k + piv, k:], A[stack, k, k:]
+            col[stack, 0], col[stack, piv] = col[stack, piv], col[stack, 0]
+            odd ^= piv != 0
+        det = det * col[:, 0] % P
+        inv = np.array([pow(x, -1, P) if x else 0 for x in col[:, 0].tolist()], dtype=np.int64)
+        neg = -col[:, 1:] * inv[:, None] % P
+        A[:, k + 1 :, k + 1 :] += neg[:, :, None] * (A[:, None, k, k + 1 :] % P)
+    return np.where(odd, -det % P, det)
 
 
 def _l1(z: CycInt) -> int:
@@ -401,12 +418,14 @@ def _det_bound(e: int, centralizers: Sequence[int]) -> int:
     return -(-top // num)
 
 
-def _modular_det(rows: Sequence[Sequence[CycInt]], e: int, bound: int, label: str):
+def _modular_det(
+    rows: Sequence[Sequence[CycInt]], e: int, bound: int, label: str, known: Sequence[tuple] = ()
+):
     """The determinant of a square matrix over Z[z], with the primes and the
     images of the determinant it was lifted from; ``bound`` must bound every
-    coefficient of det."""
+    coefficient of det, and ``known`` is passed on to _images."""
     coeffs, Q, primes, images = [0] * _basis(e).phi, 1, [], []
-    for P, interp, E in _images(rows, e, bound, label):
+    for P, interp, E in _images(rows, e, bound, label, known):
         images.append(_det_stack(E, P))
         residues = (interp @ images[-1] % P).tolist()
         t = pow(Q, -1, P)
@@ -421,32 +440,37 @@ def _modular_det(rows: Sequence[Sequence[CycInt]], e: int, bound: int, label: st
 # linear algebra mod P
 
 
-def _rref(mat, P: int) -> tuple[np.ndarray, list[int]]:
-    """The nonzero rows of the reduced row echelon form mod P, and the pivot
-    columns."""
-    A = np.array(mat, dtype=np.int64) % P
-    pivots: list[int] = []
-    for col in range(A.shape[1]):
-        r = len(pivots)
-        below = np.flatnonzero(A[r:, col])
-        if not below.size:
-            continue
-        A[[r, r + below[0]]] = A[[r + below[0], r]]
-        A[r] = A[r] * pow(int(A[r, col]), -1, P) % P
-        f = A[:, col].copy()
-        f[r] = 0
-        A = (A - f[:, None] * A[r]) % P
-        pivots.append(col)
-    return A[: len(pivots)], pivots
-
-
-def _nullspace(mat: np.ndarray, P: int) -> np.ndarray:
-    rref, pivots = _rref(mat, P)
-    free = [c for c in range(rref.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), rref.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -rref[:, free].T % P
-    return basis
+def _rref_stack(A: np.ndarray, P: int) -> np.ndarray:
+    """Reduced row echelon forms mod P of a stack of matrices with entries in
+    [0, P), in place and all at once; returns which columns of each hold a
+    pivot.  At each column every matrix takes its own pivot row, swaps it up
+    to its rank, scales it by the pivot's inverse and clears the column in
+    every other row.  The lazy reduction of _det_stack holds with c columns
+    in place of m steps.
+    """
+    b, r, c = A.shape
+    assert c * (P - 1) ** 2 + P < 2**63, (c, P)
+    stack, rows = np.arange(b), np.arange(r)
+    rank = np.zeros(b, dtype=np.intp)
+    has = np.zeros((b, c), dtype=bool)
+    for k in range(c):
+        col = A[:, :, k] % P
+        cand = (col != 0) & (rows >= rank[:, None])
+        found = has[:, k] = cand.any(axis=1)
+        here = np.minimum(rank, r - 1)
+        piv = np.where(found, cand.argmax(axis=1), here)
+        if (piv != here).any():
+            A[stack, here, k:], A[stack, piv, k:] = A[stack, piv, k:], A[stack, here, k:]
+            col[stack, here], col[stack, piv] = col[stack, piv], col[stack, here]
+        pivot = np.where(found, col[stack, here], 1).tolist()
+        inv = np.array([pow(x, -1, P) for x in pivot], dtype=np.int64)
+        A[stack, here, k + 1 :] = row = A[stack, here, k + 1 :] % P * inv[:, None] % P
+        col[stack, here] = col[stack, here] * inv % P  # 1 at a pivot
+        clear = (rows != here[:, None]) & found[:, None]
+        A[:, :, k + 1 :] += np.where(clear, -col % P, 0)[:, :, None] * row[:, None]
+        A[:, :, k] = np.where(clear, 0, col)
+        rank += found
+    return has
 
 
 def _restrict(R: np.ndarray, basis: np.ndarray, pivots: list[int], P: int) -> np.ndarray:
@@ -492,6 +516,10 @@ def _charpoly(T: np.ndarray, P: int) -> np.ndarray:
 
 
 def _split_space(space, R, P):
+    """The pieces of ``space`` on which R acts by one root of its
+    characteristic polynomial each, in root order, as (reduced echelon
+    basis, pivot columns): the null spaces of T - lam for all roots lam at
+    once, T being R restricted to ``space``."""
     basis, pivots = space
     d = len(basis)
     T = _restrict(R, basis, pivots, P)
@@ -500,17 +528,27 @@ def _split_space(space, R, P):
     for c in _charpoly(T, P)[::-1].tolist():  # Horner at every lam at once
         values = (values * lams + c) % P
     eye = np.eye(d, dtype=np.int64)
-    pieces = []
-    found = 0
-    for lam in np.flatnonzero(values == 0).tolist():
-        sub_rref, sub_pivots = _rref(_nullspace((T - lam * eye) % P, P) @ basis % P, P)
-        pieces.append((sub_rref, sub_pivots))
-        found += len(sub_rref)
-        if found == d:
-            break
-    if found != d:
+    shifted = (T - np.flatnonzero(values == 0)[:, None, None] * eye) % P
+    has = _rref_stack(shifted, P)
+    nullity = d - has.sum(axis=1)
+    if nullity.sum() != d:
         raise CharTableError("class matrices were not simultaneously diagonalizable")
-    return pieces
+    # Z puts the row with the pivot in column j at row j, so the null vector
+    # of a free column f is e_f - Z[:, f], row f of I - Z^T, and the row of a
+    # pivot column is 0; taking the free rows first pads each null basis with
+    # zero rows
+    Z = np.take_along_axis(shifted, np.maximum(has.cumsum(axis=1) - 1, 0)[:, :, None], axis=1)
+    free = np.argsort(has, axis=1, kind="stable")[:, : nullity.max()]
+    null = np.take_along_axis((eye - Z * has[:, :, None]).swapaxes(1, 2) % P, free[:, :, None], axis=1)
+    # basis is in reduced echelon form with the identity at ``pivots``, so
+    # rref(null @ basis) = rref(null) @ basis, whose pivot columns are
+    # pivots[j] for the pivot columns j of rref(null)
+    has = _rref_stack(null, P)
+    sub = null @ basis % P
+    return [
+        (s[:k], [pivots[j] for j in np.flatnonzero(h).tolist()])
+        for s, h, k in zip(sub, has, nullity.tolist())
+    ]
 
 
 def _common_eigenvectors(Ns, P, label, seed):
@@ -575,6 +613,9 @@ class CharacterTable:
     # the class power map in column order: z -> z^a moves column j to column
     # chains.at(a)[j]; computed again from the group when absent
     chains: Optional[PowerChains] = field(default=None, compare=False, repr=False)
+    # the triples of _images for ``entries`` that the checks have asked for,
+    # first prime first (_table_images); a copy made by replace starts empty
+    images: list = field(init=False, default_factory=list, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -678,6 +719,14 @@ def character_table(
     )
 
 
+def _table_images(T: CharacterTable, bound: int) -> list:
+    """_images of the table's entries under ``bound``, each prime's computed
+    once per table."""
+    found = list(_images(T.entries, T.conductor, bound, T.label, T.images))
+    T.images[len(T.images) :] = found[len(T.images) :]
+    return found
+
+
 def verify_orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable) -> None:
     """Row and column orthogonality, decided exactly on the embeddings mod P
     under B_orth, which bounds the row and the column relations alike."""
@@ -686,7 +735,7 @@ def verify_orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable) -> None:
     norms = np.array([[_l1(z) for z in row] for row in T.entries], dtype=object)
     sums = max(((norms * sizes) @ norms.T).max(), (norms.T @ norms).max())
     wants = {"row": n * np.eye(m, dtype=np.int64), "column": np.diag(n // sizes)}
-    found = list(_images(T.entries, e, _basis(e).root_norm * sums + n, T.label))
+    found = _table_images(T, _basis(e).root_norm * sums + n)
     primes = np.array([P for P, _, _ in found])
     E = np.stack([E for _, _, E in found])
     P = primes.reshape(-1, 1, 1, 1)
@@ -753,7 +802,7 @@ def det_identities(
     norms = np.array([[_l1(z) for z in row] for row in T.entries], dtype=object)
     C = _basis(e).root_norm
     col_bound = max(C * norms.max(), C * (norms * norms).sum(axis=0).max() + G.n)
-    found = list(_images(T.entries, e, col_bound, T.label))
+    found = _table_images(T, col_bound)
     E = np.stack([E for _, _, E in found])
     P = np.array([P for P, _, _ in found])[:, None, None]
     bad = (E * E[:, _unit_perm(e, -1)]).sum(axis=2) % P != centralizers % P  # per prime, unit, column
@@ -766,7 +815,8 @@ def det_identities(
             f"bound on det does not hold (P = {P[bad[..., j].any(axis=1).argmax(), 0, 0]})"
         )
 
-    det, primes, s = _modular_det(T.entries, e, _det_bound(e, centralizers.tolist()), T.label)
+    bound = _det_bound(e, centralizers.tolist())
+    det, primes, s = _modular_det(T.entries, e, bound, T.label, T.images)
     checks = []
 
     det2 = det * det

@@ -464,6 +464,20 @@ def build_parser():
     return parser
 
 
+def _parse_argparse(argv: list[str]):
+    """``build_parser().parse_args(argv)``, except that a common option given
+    before the command is a usage error that names it."""
+    parser = build_parser()
+    common = {arg.name: arg for arg in _COMMON}
+    first = argv[0].split("=", 1)[0] if argv else None
+    if first in common and not {"-h", "--help"} & set(argv):
+        cmd = next((token for token in argv if token in _COMMANDS), "COMMAND")
+        metavar = common[first].metavar
+        example = f"{first} {metavar}" if metavar else first
+        parser.error(f"{first} goes after the command, as in: quadsym {cmd} ... {example}")
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(400_000)
@@ -471,7 +485,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parse_table(argv)
     if args is None:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse_argparse(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.max_order < 1:

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadsym.chartab import (
     CharTableError,
@@ -19,6 +20,7 @@ from quadsym.chartab import (
     _embedding_prime,
     _modular_det,
     _restrict,
+    _rref_stack,
     _split_space,
     _unit_perm,
     _units,
@@ -76,6 +78,181 @@ def test_cyclotomic_polynomial_matches_sympy():
         poly = cyclotomic_polynomial(e)
         assert list(poly) == sympy.cyclotomic_poly(e, x, polys=True).all_coeffs()[::-1], e
         assert len(poly) - 1 == sympy.totient(e), e
+
+
+# Oracles: the one-matrix-at-a-time reductions the stacked kernels replaced,
+# each reducing everything mod P at every step.
+
+
+def rref_oracle(mat, P):
+    """The nonzero rows of the reduced row echelon form mod P, and the pivot
+    columns."""
+    A = np.array(mat, dtype=np.int64) % P
+    pivots = []
+    for col in range(A.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(A[r:, col])
+        if not below.size:
+            continue
+        A[[r, r + below[0]]] = A[[r + below[0], r]]
+        A[r] = A[r] * pow(int(A[r, col]), -1, P) % P
+        f = A[:, col].copy()
+        f[r] = 0
+        A = (A - f[:, None] * A[r]) % P
+        pivots.append(col)
+    return A[: len(pivots)], pivots
+
+
+def nullspace_oracle(mat, P):
+    rref, pivots = rref_oracle(mat, P)
+    free = [c for c in range(rref.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), rref.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rref[:, free].T % P
+    return basis
+
+
+def det_stack_oracle(A, P):
+    """Fraction-free elimination: clearing column k multiplies each later row
+    by the pivot p_k, so det = prod p_k / prod_k p_k^(m-1-k)."""
+    A = np.array(A, dtype=np.int64) % P
+    b, m, _ = A.shape
+    stack = np.arange(b)
+    pivots, scale = np.ones(b, dtype=np.int64), np.ones(b, dtype=np.int64)
+    odd = np.zeros(b, dtype=bool)
+    for k in range(m):
+        piv = k + (A[:, k:, k] != 0).argmax(axis=1)
+        A[stack, k], A[stack, piv] = A[stack, piv], A[stack, k]
+        odd ^= piv != k
+        f = A[:, k + 1 :, k].copy()
+        rest = A[:, k + 1 :, k:]
+        rest *= A[:, k, k, None, None]
+        rest -= f[:, :, None] * A[:, None, k, k:]
+        rest %= P
+        scale = scale * pivots % P
+        pivots = pivots * A[:, k, k] % P
+    det = pivots * np.array([pow(s, P - 2, P) for s in scale.tolist()]) % P
+    return np.where(odd, (P - det) % P, det)
+
+
+def split_oracle(space, R, P):
+    """_split_space root by root: a null space and a reduction per root."""
+    basis, pivots = space
+    d = len(basis)
+    T = _restrict(R, basis, pivots, P)
+    eye = np.eye(d, dtype=np.int64)
+    pieces = []
+    for lam in range(P):
+        if det_stack_oracle((lam * eye - T)[None], P)[0] == 0:
+            pieces.append(rref_oracle(nullspace_oracle((T - lam * eye) % P, P) @ basis % P, P))
+    return pieces
+
+
+# the primes of the tests: tiny, a splitting prime of the benchmark's tables,
+# sym:7's, and the largest embedding prime of any conductor
+LARGEST_P = _embedding_prime(1, 0)
+PRIMES = (2, 3, 61, 421, LARGEST_P)
+
+
+def awkward_stack(rng, b, r, c, P):
+    """b random r x c matrices mod P, each of deficient rank with some
+    probability, some with zero columns and repeated rows."""
+    stack = []
+    for _ in range(b):
+        A = rng.integers(0, P, (r, c))
+        k = int(rng.integers(0, min(r, c) + 1))
+        if rng.random() < 0.6 and k < min(r, c):  # rank at most k
+            A = rng.integers(0, P, (r, k)) @ rng.integers(0, P, (k, c))
+        if rng.random() < 0.3:
+            A[:, rng.integers(0, c)] = 0
+        if rng.random() < 0.3 and r > 1:
+            A[rng.integers(0, r)] = A[rng.integers(0, r)]
+        if rng.random() < 0.2:
+            A = A * (rng.random((r, c)) < 0.3)  # mostly zero: swaps and empty columns
+        stack.append(A % P)
+    return np.array(stack, dtype=np.int64).reshape(b, r, c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(PRIMES), st.integers(0, 4), st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1)
+)
+def test_rref_stack_matches_the_oracle(P, b, r, c, seed):
+    A = awkward_stack(np.random.default_rng(seed), b, r, c, P)
+    before = A.copy()
+    has = _rref_stack(A, P)
+    assert has.shape == (b, c)
+    for s in range(b):
+        rref, pivots = rref_oracle(before[s], P)
+        assert np.flatnonzero(has[s]).tolist() == pivots
+        assert (A[s, : len(pivots)] == rref).all() and not A[s, len(pivots) :].any()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PRIMES), st.integers(0, 4), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_det_stack_matches_the_oracle(P, b, m, seed):
+    A = awkward_stack(np.random.default_rng(seed), b, m, m, P)
+    before = A.copy()
+    assert _det_stack(A, P).tolist() == det_stack_oracle(A, P).tolist()
+    assert (A == before).all()
+
+
+def test_det_stack_at_the_headroom_bound():
+    # m = 128 at the largest P: an entry can pile up 127 unreduced products,
+    # each below (P - 1)^2 = 2^48
+    P, m = LARGEST_P, 128
+    rng = np.random.default_rng(43)
+    A = P - 1 - rng.integers(0, 3, (3, m, m))
+    A[1, 7] = A[1, 90]  # singular
+    A[2, :, 0] = 0
+    A[2, 5, 0] = 1  # the first pivot takes a swap
+    got = _det_stack(A, P).tolist()
+    assert got == det_stack_oracle(A, P).tolist() and got[1] == 0 and got[0] != 0
+    # past the headroom the kernels refuse before they start; an empty
+    # stack allocates nothing
+    big = 2**63 // (P - 1) ** 2 + 1
+    with pytest.raises(AssertionError):
+        _det_stack(np.zeros((0, big, big), dtype=np.int64), P)
+    with pytest.raises(AssertionError):
+        _rref_stack(np.zeros((0, 1, big), dtype=np.int64), P)
+
+
+def test_split_space_with_a_repeated_root():
+    # R has eigenvalues 2, 2, 5 on a 3-dimensional invariant subspace of
+    # F_P^5 and 3, 3 off it: the split gives a plane and a line, in root order
+    rng = np.random.default_rng(47)
+    for P in (7, 61, 421):
+        V = rng.integers(0, P, (5, 5))
+        while len(rref_oracle(V, P)[1]) < 5:
+            V = rng.integers(0, P, (5, 5))
+        inverse = rref_oracle(np.hstack([V, np.eye(5, dtype=np.int64)]), P)[0][:, 5:]
+        R = V @ np.diag([2, 5, 3, 2, 3]) % P @ inverse % P
+        space = rref_oracle(V[:, [0, 1, 3]].T, P)
+        pieces = _split_space(space, R, P)
+        want = split_oracle(space, R, P)
+        assert [len(b) for b, _ in pieces] == [2, 1]
+        assert len(pieces) == len(want)
+        for (basis, pivots), (want_basis, want_pivots) in zip(pieces, want):
+            assert pivots == want_pivots and (basis == want_basis).all()
+        # and the whole space, where 3 is a repeated root too
+        whole = (np.eye(5, dtype=np.int64), list(range(5)))
+        assert [len(b) for b, _ in _split_space(whole, R, P)] == [2, 2, 1]
+
+
+def test_split_space_matches_the_oracle_on_random_diagonalizable_maps():
+    rng = np.random.default_rng(53)
+    for P in (3, 61, 421):
+        for d in (1, 2, 4, 6):
+            V = rng.integers(0, P, (d, d))
+            while len(rref_oracle(V, P)[1]) < d:
+                V = rng.integers(0, P, (d, d))
+            inverse = rref_oracle(np.hstack([V, np.eye(d, dtype=np.int64)]), P)[0][:, d:]
+            R = V @ np.diag(rng.integers(0, min(P, 4), d)) % P @ inverse % P
+            space = (np.eye(d, dtype=np.int64), list(range(d)))
+            got = _split_space(space, R, P)
+            want = split_oracle(space, R, P)
+            assert [p for _, p in got] == [p for _, p in want]
+            assert all((a == b).all() for (a, _), (b, _) in zip(got, want))
 
 
 def test_charpoly_matches_the_determinant_scan():
@@ -529,7 +706,9 @@ def test_chartab_builds_the_embedding_maps_once_per_prime(monkeypatch, capsys):
     cached.cache_clear()
     assert cli.main(["chartab", "sym:7", "--json"]) == 0
     out = capsys.readouterr().out
-    assert len(asked) > len(set(asked)) and cached.cache_info().misses == len(set(asked))
+    # each prime's images are computed once per table, and each computation
+    # asks for that prime's maps once
+    assert len(asked) == len(set(asked)) == cached.cache_info().misses == 3
     vander, interp = cached(*asked[0])
     assert not vander.flags.writeable and not interp.flags.writeable
     # the bytes of a cold cache, of a warm one, and of the benchmark's reference
@@ -539,3 +718,49 @@ def test_chartab_builds_the_embedding_maps_once_per_prime(monkeypatch, capsys):
     if reference.is_file():
         want = json.loads(reference.read_text())["outputs"]["chartab sym:7"]
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_table_images_are_kept_per_table(build):
+    b, T = table_for(build, "sym:4")
+    verify_orthogonality(b.G, b.S, T)
+    kept = list(T.images)
+    assert kept and all(not E.flags.writeable for _, _, E in kept)
+    det_identities(b.G, b.S, b.split, T, b.D)
+    assert all(x is y for x, y in zip(T.images, kept))
+    # a table made from this one by replace starts without images
+    assert dataclasses.replace(T, entries=T.entries).images == []
+
+
+@pytest.mark.parametrize("label", ["cyclic:11*sym:3", "dihedral:12*sym:4"])
+def test_library_pipeline_matches_the_benchmark_reference(build, label):
+    # the benchmark's chartab_lib JSON: the chartab --json fields with the
+    # class cap raised; at seed 0 the tables take 8 and 9 splits at P = 67
+    # and 61
+    import hashlib
+    import json
+    from pathlib import Path
+
+    reference = Path(__file__).parents[1] / "bench" / "reference.json"
+    if not reference.is_file():
+        pytest.skip("no benchmark reference in this checkout")
+    b = build(label)
+    T = character_table(b.G, b.S, b.split, seed=0, max_classes=64)
+    verify_orthogonality(b.G, b.S, T)
+    det = det_identities(b.G, b.S, b.split, T, b.D)
+    obj = {
+        "label": b.G.label,
+        "n": b.G.n,
+        "m": T.m,
+        "conductor": T.conductor,
+        "prime": T.prime,
+        "class_order": list(T.class_order),
+        "degrees": list(T.degrees),
+        "rows": [[list(z.coeffs) for z in row] for row in T.entries],
+        "det_squared": det.det_squared,
+        "ell": det.ell,
+        "d": b.D.value.decimal(),
+        "checks": [{"name": c.name, "ok": c.ok, "witness": c.witness} for c in det.checks],
+    }
+    out = json.dumps(obj, separators=(",", ":")) + "\n"
+    want = json.loads(reference.read_text())["outputs"][f"chartab_lib {label}"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want

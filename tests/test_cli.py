@@ -208,6 +208,24 @@ def test_max_order_below_one_is_a_usage_error(argv, cap, capsys, monkeypatch):
     assert err == f"error: --max-order must be at least 1, got {cap}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--max-order=5", "disc", "sym:3"], "--max-order"),
+        (["--json", "--seed", "1", "classes", "q8"], "--json"),
+        (["--seed", "2"], "--seed"),
+    ],
+)
+def test_common_option_before_the_command_is_named(argv, name, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(f"quadsym: error: {name} goes after the command")
+
+
+def test_help_wins_over_a_misplaced_option(capsys):
+    assert run(capsys, "--json", "-h") == run(capsys, "-h")
+
+
 def test_usage_golden(capsys, monkeypatch):
     # help and argparse's usage errors, byte for byte, as Python 3.11's argparse
     # prints them at COLUMNS=80
