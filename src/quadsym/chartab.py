@@ -24,20 +24,26 @@ by interpolation and CRT.  With C_e = max over k of |z^k|_1, orthogonality
 takes B_orth = C_e * max sum_j h_j |chi_ij|_1 |chi_i2j|_1 + n.  Once the
 column norms sum_i |chi_ij|^2 = c_j are decided, Hadamard bounds det at every
 embedding by (prod_j c_j)^(1/2), and Lagrange interpolation at the roots of
-Phi_e turns that into B_det (_det_bound).  z -> z^a moves the image at u to
-the image at u * a, which decides the Galois checks.
+Phi_e turns that into B_det (_det_bound).
+
+Most embeddings are redundant (Isaacs, Character Theory of Finite Groups,
+1976): z -> z^a moves the image at u to the image at u * a, and it moves
+column j to column pi_a(j), pi_a the class power map, at every unit once it
+does at the generators of (Z/e)^x.  That is decided first and exactly; then
+each relation is decided at u = 1, and det at u is sign(pi_u) det at 1.  If
+a check fails, all of them run again at every unit (_at_few_units).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .groups import ClassSet, GroupTable, OrderCapExceeded, PowerChains, _seeded_rng, class_power_chains
-from .ntheory import factorize, is_prime
+from .ntheory import factorize, is_prime, primitive_root, unit_generators
 from .reciprocity import CheckResult, Discriminant, RealComplexSplit, _check, symbol_character
 
 MAX_CLASSES = 16
@@ -89,27 +95,13 @@ class _CycBasis:
     """Reduction data for Z[z]/Phi_e(z): powers of z as coefficient rows."""
 
     def __init__(self, e: int):
-        self.e = e
-        poly = cyclotomic_polynomial(e)
-        self.phi = len(poly) - 1
-        self.poly = poly
-        top = [-c for c in poly[: self.phi]]  # z^phi in the power basis
-        rows: list[tuple[int, ...]] = []
-        for k in range(self.phi):
-            row = [0] * self.phi
-            row[k] = 1
-            rows.append(tuple(row))
-        limit = max(e - 1, 2 * self.phi - 2)
-        for _ in range(self.phi, limit + 1):
+        self.poly = cyclotomic_polynomial(e)
+        phi = self.phi = len(self.poly) - 1
+        rows = [tuple(int(t == k) for t in range(phi)) for k in range(phi)]
+        for _ in range(phi, max(e - 1, 2 * phi - 2) + 1):
+            # z times the last row, with z^phi = -(poly[0] + ... + poly[phi-1] z^(phi-1))
             prev = rows[-1]
-            row = [0] * self.phi
-            for t in range(1, self.phi):
-                row[t] = prev[t - 1]
-            lead = prev[self.phi - 1]
-            if lead:
-                for t in range(self.phi):
-                    row[t] += lead * top[t]
-            rows.append(tuple(row))
+            rows.append(tuple((prev[t - 1] if t else 0) - prev[-1] * self.poly[t] for t in range(phi)))
         self.pow_rows = tuple(rows)
         self.root_norm = max(sum(map(abs, row)) for row in rows[:e])  # C_e
 
@@ -120,16 +112,10 @@ def _basis(e: int) -> _CycBasis:
 
 
 def _reduce_product(prod: list[int], basis: _CycBasis) -> tuple[int, ...]:
-    phi = basis.phi
-    out = list(prod[:phi])
-    while len(out) < phi:
-        out.append(0)
-    for k in range(phi, len(prod)):
-        c = prod[k]
-        if c:
-            row = basis.pow_rows[k]
-            for t in range(phi):
-                out[t] += c * row[t]
+    out = list(prod[: basis.phi]) + [0] * (basis.phi - len(prod))
+    for k in range(basis.phi, len(prod)):
+        if prod[k]:
+            out = [x + prod[k] * r for x, r in zip(out, basis.pow_rows[k])]
     return tuple(out)
 
 
@@ -164,9 +150,6 @@ class CycInt:
     def root_power(e: int, k: int) -> "CycInt":
         return CycInt(e, _basis(e).pow_rows[k % e])
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
@@ -194,12 +177,10 @@ class CycInt:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycInt(self.e, tuple(x - y for x, y in zip(self.coeffs, o.coeffs)))
+        return NotImplemented if o is None else self + -o
 
     def __neg__(self):
-        return CycInt(self.e, tuple(-x for x in self.coeffs))
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -245,14 +226,10 @@ def galois_apply(z: CycInt, a: int) -> CycInt:
     b = a % e
     if gcd(b, e) != 1:
         raise ValueError(f"{a} is not coprime to the conductor {e}")
-    basis = _basis(e)
-    acc = [0] * basis.phi
+    prod = [0] * e
     for i, c in enumerate(z.coeffs):
-        if c:
-            row = basis.pow_rows[i * b % e]
-            for t in range(basis.phi):
-                acc[t] += c * row[t]
-    return CycInt(e, tuple(acc))
+        prod[i * b % e] += c
+    return CycInt(e, _reduce_product(prod, _basis(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +241,10 @@ def _units(e: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, e + 1) if gcd(a, e) == 1)
 
 
-@lru_cache(maxsize=None)
-def _unit_index(e: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units mod e as an array, and the embedding index of each unit
-    residue (0 elsewhere)."""
-    units = np.array(_units(e))
-    index = np.zeros(e, dtype=np.intp)
-    index[units % e] = np.arange(len(units))
-    units.setflags(write=False)  # the cache hands both arrays to every caller
-    index.setflags(write=False)
-    return units, index
-
-
 def _unit_perm(e: int, a: int) -> np.ndarray:
     """Embedding index t -> index of units[t] * a: the action of z -> z^a."""
-    units, index = _unit_index(e)
-    return index[units * a % e]
+    units = np.array(_units(e))
+    return np.searchsorted(units, units * a % e)  # at e = 1, 1 * a % 1 = 0 finds the unit 1
 
 
 @lru_cache(maxsize=None)
@@ -299,7 +264,7 @@ def _embedding_maps(e: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     them to every caller."""
     basis = _basis(e)
     phi = basis.phi
-    w = pow(_primitive_root(P), (P - 1) // e, P)
+    w = pow(primitive_root(P), (P - 1) // e, P)
     powers = np.array([pow(w, t, P) for t in range(e)], dtype=np.int64)
     units = np.array(_units(e))
     vander = powers[np.outer(units, np.arange(phi)) % e]
@@ -319,72 +284,50 @@ def _embedding_maps(e: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     return vander, interp
 
 
-def _images(
-    rows: Sequence[Sequence[CycInt]], e: int, bound: int, label: str, known: Sequence[tuple] = ()
-):
-    """For each prime P = 1 mod e in turn, at least one and until their
-    product exceeds 2 * bound: P, the interpolation matrix mod P, and E
-    with E[t] the matrix ``rows`` under z -> w^units[t] mod P, read-only.
-    ``known`` holds such triples for the same rows, first prime first, from
-    an earlier call; they are reused."""
-    m = len(rows)
-    phi = _basis(e).phi
-    coeffs = None
-    Q, P, k = 1, None, 0
-    while k == 0 or Q <= 2 * bound:
-        if k < len(known):
-            P, interp, E = known[k]
-        elif _embedding_prime(e, k) is None:
-            raise CharTableError(f"{label}: too few primes 1 mod {e} below 2^24 (last P = {P})")
-        else:
-            P = _embedding_prime(e, k)
-            if coeffs is None:
-                entries = [z.coeffs for row in rows for z in row]
-                try:
-                    coeffs = np.array(entries, dtype=np.int64).reshape(m * m, phi)
-                except OverflowError:  # reduced per prime as Python ints
-                    coeffs = np.array(entries, dtype=object).reshape(m * m, phi)
-            # every int64 dot product below sums at most max(phi, m) products
-            assert max(phi, m) * (P - 1) ** 2 < 2**63, (phi, m, P)
-            vander, interp = _embedding_maps(e, P)
-            E = vander @ (coeffs % P).astype(np.int64, copy=False).T
-            E %= P
-            E = E.reshape(phi, m, m)
-            E.setflags(write=False)
-        yield P, interp, E
-        Q, k = Q * P, k + 1
+def _primes(e: int, bound: int, label: str) -> list[int]:
+    """The primes P = 1 mod e below 2^24, largest first, until their product
+    exceeds 2 * bound, and at least one."""
+    primes = []
+    while not primes or prod(primes) <= 2 * bound:
+        P = _embedding_prime(e, len(primes))
+        if P is None:
+            last = primes[-1] if primes else None
+            raise CharTableError(f"{label}: too few primes 1 mod {e} below 2^24 (last P = {last})")
+        primes.append(P)
+    return primes
 
 
-def _det_stack(A: np.ndarray, P: int) -> np.ndarray:
-    """Determinants mod P of a stack of square matrices, all at once, by
-    elimination with the pivot's inverse; the stack itself is left as it is.
+def _det_stack(A: np.ndarray, P) -> np.ndarray:
+    """Determinants of a stack of square matrices, matrix k mod P[k] (or all
+    mod one P), all at once, by elimination with the pivot's inverse; the
+    stack itself is left as it is.
 
-    Only the pivot column and the pivot row are reduced mod P at each step:
-    every other entry gains a product of two residues, below (P - 1)^2, per
-    step, so m steps stay exact in int64 while m (P - 1)^2 + P < 2^63.
+    Only the pivot column and the pivot row are reduced at each step: every
+    other entry gains a product of two residues, below (P - 1)^2, per step,
+    so m steps stay exact in int64 while m (P - 1)^2 + P < 2^63.
     """
-    A = A % P
     b, m, _ = A.shape
-    assert m * (P - 1) ** 2 + P < 2**63, (m, P)
+    top = int(np.max(P, initial=0))
+    assert m * (top - 1) ** 2 + top < 2**63, (m, top)
+    P = np.broadcast_to(np.asarray(P, dtype=np.int64), (b,))
+    mods = P.tolist()
+    A = A % P[:, None, None]
     stack = np.arange(b)
     det = np.ones(b, dtype=np.int64)
     odd = np.zeros(b, dtype=bool)  # an odd number of row swaps
     for k in range(m):
-        col = A[:, k:, k] % P
+        col = A[:, k:, k] % P[:, None]
         piv = (col != 0).argmax(axis=1)  # 0 when the column is zero, and det is 0
         if piv.any():
             A[stack, k, k:], A[stack, k + piv, k:] = A[stack, k + piv, k:], A[stack, k, k:]
             col[stack, 0], col[stack, piv] = col[stack, piv], col[stack, 0]
             odd ^= piv != 0
         det = det * col[:, 0] % P
-        inv = np.array([pow(x, -1, P) if x else 0 for x in col[:, 0].tolist()], dtype=np.int64)
-        neg = -col[:, 1:] * inv[:, None] % P
-        A[:, k + 1 :, k + 1 :] += neg[:, :, None] * (A[:, None, k, k + 1 :] % P)
+        pivots = col[:, 0].tolist()
+        inv = np.array([pow(x, -1, p) if x else 0 for x, p in zip(pivots, mods)], dtype=np.int64)
+        neg = -col[:, 1:] * inv[:, None] % P[:, None]
+        A[:, k + 1 :, k + 1 :] += neg[:, :, None] * (A[:, None, k, k + 1 :] % P[:, None, None])
     return np.where(odd, -det % P, det)
-
-
-def _l1(z: CycInt) -> int:
-    return sum(map(abs, z.coeffs))
 
 
 def _derivative_bound(e: int) -> tuple[int, int]:
@@ -418,22 +361,17 @@ def _det_bound(e: int, centralizers: Sequence[int]) -> int:
     return -(-top // num)
 
 
-def _modular_det(
-    rows: Sequence[Sequence[CycInt]], e: int, bound: int, label: str, known: Sequence[tuple] = ()
-):
-    """The determinant of a square matrix over Z[z], with the primes and the
-    images of the determinant it was lifted from; ``bound`` must bound every
-    coefficient of det, and ``known`` is passed on to _images."""
-    coeffs, Q, primes, images = [0] * _basis(e).phi, 1, [], []
-    for P, interp, E in _images(rows, e, bound, label, known):
-        images.append(_det_stack(E, P))
-        residues = (interp @ images[-1] % P).tolist()
+def _lift(e: int, primes: Sequence[int], interps: Sequence[np.ndarray], s: np.ndarray) -> CycInt:
+    """The element of Z[z] whose images mod primes[k], at every unit in
+    order, are s[k], interps[k] being the interpolation matrix mod primes[k];
+    its coefficients must be below half the product of the primes in size."""
+    coeffs, Q = [0] * _basis(e).phi, 1
+    for P, interp, images in zip(primes, interps, s):
+        residues = (interp @ images % P).tolist()
         t = pow(Q, -1, P)
         coeffs = [x + Q * ((r - x) * t % P) for x, r in zip(coeffs, residues)]
         Q *= P
-        primes.append(P)
-    det = CycInt(e, tuple(x - Q if 2 * x > Q else x for x in coeffs))
-    return det, np.array(primes), np.array(images)
+    return CycInt(e, tuple(x - Q if 2 * x > Q else x for x in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -585,16 +523,6 @@ def _choose_prime(e: int, n: int) -> int:
         P += e
 
 
-def _primitive_root(P: int) -> int:
-    if P == 2:
-        return 1
-    prime_parts = [p for p, _ in factorize(P - 1).factors]
-    for g in range(2, P):
-        if all(pow(g, (P - 1) // p, P) != 1 for p in prime_parts):
-            return g
-    raise CharTableError(f"no primitive root mod {P}")
-
-
 # ---------------------------------------------------------------------------
 # the table itself
 
@@ -613,13 +541,34 @@ class CharacterTable:
     # the class power map in column order: z -> z^a moves column j to column
     # chains.at(a)[j]; computed again from the group when absent
     chains: Optional[PowerChains] = field(default=None, compare=False, repr=False)
-    # the triples of _images for ``entries`` that the checks have asked for,
-    # first prime first (_table_images); a copy made by replace starts empty
-    images: list = field(init=False, default_factory=list, compare=False, repr=False)
+    # what the checks computed from ``entries``, which a copy made by replace
+    # starts without: per prime P, the embedding maps mod P and the images by
+    # unit index (_table_images); [whether the Galois action permutes the
+    # columns] once decided (_at_few_units)
+    images: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    galois: list = field(init=False, default_factory=list, compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.class_order)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The entries' coefficients, (m, m, phi): int64 while each is below
+        2^31 in size, Python ints otherwise."""
+        entries = [[z.coeffs for z in row] for row in self.entries]
+        try:
+            coeffs = np.array(entries, dtype=np.int64)
+            if -(2**31) < coeffs.min() and coeffs.max() < 2**31:
+                return coeffs
+        except OverflowError:
+            pass
+        return np.array(entries, dtype=object)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """|chi_ij|_1 for every entry, as Python ints."""
+        return np.abs(self.coeffs).sum(axis=-1).astype(object)
 
 
 def character_table(
@@ -676,7 +625,7 @@ def character_table(
     # every int64 dot product here and in the splitting sums at most
     # max(e, m) products of residues
     assert max(e, m) * (P - 1) ** 2 < 2**63, (e, m, P)
-    inv_root_e = pow(_primitive_root(P), -((P - 1) // e), P)
+    inv_root_e = pow(primitive_root(P), -((P - 1) // e), P)
     inv_powers = np.array([pow(inv_root_e, t, P) for t in range(e)], dtype=np.int64)
     basis = _basis(e)
     chi_mod = np.array(
@@ -719,29 +668,75 @@ def character_table(
     )
 
 
-def _table_images(T: CharacterTable, bound: int) -> list:
-    """_images of the table's entries under ``bound``, each prime's computed
-    once per table."""
-    found = list(_images(T.entries, T.conductor, bound, T.label, T.images))
-    T.images[len(T.images) :] = found[len(T.images) :]
-    return found
+def _table_images(T: CharacterTable, primes: Sequence[int], units: np.ndarray) -> np.ndarray:
+    """The table mod each of ``primes`` at the unit indices ``units``, shape
+    (primes, units, m, m); each image is computed once per table."""
+    m, out = T.m, []
+    for P in map(int, primes):
+        if P not in T.images:
+            T.images[P] = _embedding_maps(T.conductor, P), {}
+        (vander, _), found = T.images[P]
+        new = [t for t in units.tolist() if t not in found]
+        if new:
+            # every int64 dot product here and in the checks sums at most
+            # max(phi, m) products of residues
+            assert max(vander.shape[1], m) * (P - 1) ** 2 < 2**63, (vander.shape, m, P)
+            flat = (T.coeffs.reshape(m * m, -1) % P).astype(np.int64, copy=False)
+            found.update(zip(new, (vander[new] @ flat.T % P).reshape(len(new), m, m)))
+        out.append([found[t] for t in units.tolist()])
+    return np.array(out, dtype=np.int64).reshape(len(out), len(units), m, m)
+
+
+def _chains(G: GroupTable, S: ClassSet, T: CharacterTable) -> PowerChains:
+    return T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
+
+
+def _at_few_units(check, G: GroupTable, S: ClassSet, T: CharacterTable):
+    """check(every=False) if z -> z^g moves column j to column
+    chains.at(g)[j] at each generator g of (Z/e)^x, and that neither raises
+    CharTableError nor reports a failure; else check(every=True), which
+    gives every report.  The Galois action is decided exactly, once per
+    table, on the images at every unit of the first primes, whose product
+    exceeds twice (C_e + 1) max |chi|_1, a bound on sigma_g(chi_ij) - chi_ik."""
+    try:
+        if not T.galois:
+            e, chains = T.conductor, _chains(G, S, T)
+            primes = _primes(e, (_basis(e).root_norm + 1) * T.norms.max(), T.label)
+            E = _table_images(T, primes, np.arange(len(_units(e))))
+            moves = ((E[:, _unit_perm(e, g)] == E[..., chains.at(g)]).all() for g in unit_generators(e))
+            T.galois.append(all(moves))
+        if T.galois[0]:
+            report = check(every=False)
+            if report is None or report.ok:
+                return report
+    except CharTableError:
+        pass
+    return check(every=True)
 
 
 def verify_orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable) -> None:
     """Row and column orthogonality, decided exactly on the embeddings mod P
-    under B_orth, which bounds the row and the column relations alike."""
+    under B_orth, which bounds the row and the column relations alike.
+
+    Once z -> z^a permutes the columns by pi_a, which keeps class sizes, the
+    row relations are rational and the column relations permuted, so all are
+    decided at u = 1 with the conjugates from u = -1 (_at_few_units)."""
+    _at_few_units(lambda every: _orthogonality(G, S, T, every), G, S, T)
+
+
+def _orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable, every: bool) -> None:
     m, n, e = T.m, G.n, T.conductor
     sizes = np.array([S.classes[j].size for j in T.class_order])
-    norms = np.array([[_l1(z) for z in row] for row in T.entries], dtype=object)
-    sums = max(((norms * sizes) @ norms.T).max(), (norms.T @ norms).max())
+    # by Cauchy-Schwarz, sum_j h_j |chi_aj|_1 |chi_bj|_1 is largest at some
+    # a = b, and sum_i |chi_ij|_1 |chi_ik|_1 at some j = k
+    squares = T.norms * T.norms
+    sums = int(max((squares * sizes).sum(axis=1).max(), squares.sum(axis=0).max()))
     wants = {"row": n * np.eye(m, dtype=np.int64), "column": np.diag(n // sizes)}
-    found = _table_images(T, _basis(e).root_norm * sums + n)
-    primes = np.array([P for P, _, _ in found])
-    E = np.stack([E for _, _, E in found])
+    primes = np.array(_primes(e, _basis(e).root_norm * sums + n, T.label))
+    units = np.arange(len(_units(e)) if every else 1)  # index 0 is u = 1
+    E = _table_images(T, primes, units)
+    conj = _table_images(T, primes, _unit_perm(e, -1)[units])
     P = primes.reshape(-1, 1, 1, 1)
-    # the relations at -u are the transposes of those at u: half the units do
-    half = [t for t, u in enumerate(_units(e)) if 2 * (u % e) <= e]
-    E, conj = E[:, half], E[:, _unit_perm(e, -1)[half]]
     got = {
         "row": np.matmul(E * sizes % P, conj.swapaxes(-1, -2)) % P,
         "column": np.matmul(E.swapaxes(-1, -2), conj) % P,
@@ -788,24 +783,34 @@ def det_identities(
     Checks: det^2 is a rational integer equal to ell^2 * d for a positive
     integer ell; conjugation scales det by the symbol at -1; every Galois
     automorphism z -> z^a scales det by the symbol at a, because it permutes
-    the columns by the class power map; det^2 is 0 or 1 mod 4.  The Galois
-    checks compare images: z -> z^a moves the image at unit u to u * a.
+    the columns by the class power map; det^2 is 0 or 1 mod 4.
 
     The determinant is lifted under _det_bound, which holds once every
     column j has norm sum_i chi_ij * conj(chi_ij) = c_j = n / h_j; that is
     decided first, and a column that fails it raises CharTableError.
+
+    Once the columns permute (_at_few_units), the norms are decided at u = 1,
+    det is computed at 1, -1 and the generators g of (Z/e)^x in one stacked
+    elimination, and det at any other u is sym(u) * det at 1.  The Galois
+    checks then compare det at -1 and at each g with it, which checks the
+    elimination; at every unit a, they compare images.
     """
-    e = T.conductor
+    return _at_few_units(lambda every: _det_identities(G, S, T, D, every), G, S, T)
+
+
+def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discriminant, every: bool) -> DetReport:
+    e, m = T.conductor, T.m
+    checked = np.arange(len(_units(e)) if every else 1)  # index 0 is u = 1
     centralizers = np.array([G.n // S.classes[j].size for j in T.class_order])
     # a column norm minus c_j has coefficients below C_e * sum_i |chi_ij|_1^2
     # + n, and sigma_a(chi_ij) - chi_ik below 2 * C_e * max |chi|_1
-    norms = np.array([[_l1(z) for z in row] for row in T.entries], dtype=object)
-    C = _basis(e).root_norm
-    col_bound = max(C * norms.max(), C * (norms * norms).sum(axis=0).max() + G.n)
-    found = _table_images(T, col_bound)
-    E = np.stack([E for _, _, E in found])
-    P = np.array([P for P, _, _ in found])[:, None, None]
-    bad = (E * E[:, _unit_perm(e, -1)]).sum(axis=2) % P != centralizers % P  # per prime, unit, column
+    C, norms = _basis(e).root_norm, T.norms
+    col_bound = int(max(C * norms.max(), C * (norms * norms).sum(axis=0).max() + G.n))
+    primes = _primes(e, col_bound, T.label)
+    E = _table_images(T, primes, checked)
+    P = np.array(primes)[:, None, None]
+    conj = _table_images(T, primes, _unit_perm(e, -1)[checked])
+    bad = (E * conj).sum(axis=2) % P != centralizers % P  # per prime, unit, column
     if bad.any():
         j = int(bad.any(axis=(0, 1)).argmax())
         column = [row[j] for row in T.entries]
@@ -815,33 +820,40 @@ def det_identities(
             f"bound on det does not hold (P = {P[bad[..., j].any(axis=1).argmax(), 0, 0]})"
         )
 
-    bound = _det_bound(e, centralizers.tolist())
-    det, primes, s = _modular_det(T.entries, e, bound, T.label, T.images)
+    chains = _chains(G, S, T)
+    sym = symbol_character(G, S, chains)
+    tests = _units(e) if every else unit_generators(e)
+    det_primes = np.array(_primes(e, _det_bound(e, centralizers.tolist()), T.label))
+    reached = np.concatenate([checked, *(_unit_perm(e, a)[checked] for a in (-1, *tests))])
+    at = np.array(sorted(set(reached.tolist())))  # index 0, u = 1, first
+    step = max(1, 2**22 // (len(at) * m * m))  # primes per elimination, about 32 MB of images
+    chunks = [det_primes[k : k + step] for k in range(0, len(det_primes), step)]
+    dets = [_det_stack(_table_images(T, c, at).reshape(-1, m, m), np.repeat(c, len(at))) for c in chunks]
+    dets = np.concatenate(dets).reshape(len(det_primes), len(at))
+    s = np.array([sym(u) for u in _units(e)]) * dets[:, :1] % det_primes[:, None]
+    s[:, at] = dets
+    det = _lift(e, det_primes.tolist(), [T.images[P][0][1] for P in det_primes.tolist()], s)
     checks = []
 
     det2 = det * det
     d2_ok = det2.is_rational()
     det_squared = det2.to_int() if d2_ok else 0
-    ell = 0
     dval = D.value.value()
-    if d2_ok and det_squared % dval == 0:
-        q, rem = divmod(det_squared, dval)
-        ell = isqrt(q) if q >= 0 else 0
+    q = det_squared // dval if d2_ok and det_squared % dval == 0 else -1
+    ell = isqrt(q) if q >= 0 else 0
     ratio_ok = d2_ok and ell >= 1 and ell * ell * dval == det_squared
     checks.append(_check("det_squared_is_ell2_d", ratio_ok, f"det^2 = {det2}, d = {dval}"))
 
-    chains = T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
-    sym = symbol_character(G, S, chains)
-
     def scales_det(a: int) -> bool:
-        return not ((s[:, _unit_perm(e, a)] - sym(a) * s) % primes[:, None]).any()
+        return not ((s[:, _unit_perm(e, a)] - sym(a) * s) % det_primes[:, None]).any()
 
     conj_ok = scales_det(-1)
     checks.append(_check("conjugate_det", conj_ok, f"conj(det) != ({sym(-1)}) * det"))
 
     galois_witness = column_witness = None
-    for a in _units(e):
-        moved = (E[:, _unit_perm(e, a)] != E[..., chains.at(a)]).any(axis=(0, 1))
+    for a in tests:
+        moved = _table_images(T, primes, _unit_perm(e, a)[checked]) != E[..., chains.at(a)]
+        moved = moved.any(axis=(0, 1))
         if moved.any():
             i, j = np.argwhere(moved)[0]
             column_witness = f"a = {a}, row {i}, column {j}"
@@ -861,7 +873,5 @@ def det_identities(
 
 def export_table(T: CharacterTable) -> str:
     """One line per character: entries as bracketed coefficient lists."""
-    lines = []
-    for row in T.entries:
-        lines.append(" ".join("[" + ",".join(str(c) for c in z.coeffs) + "]" for z in row))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join("[" + ",".join(map(str, z.coeffs)) + "]" for z in row) for row in T.entries)
+    return "".join(row + "\n" for row in rows)

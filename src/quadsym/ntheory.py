@@ -164,6 +164,26 @@ def factorize(n: int) -> FactoredInt:
     return FactoredInt(sign, tuple(factors))
 
 
+def primitive_root(p: int) -> int:
+    """The least primitive root mod the prime p."""
+    parts = [q for q, _ in factorize(p - 1).factors]
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in parts))
+
+
+def unit_generators(e: int) -> tuple[int, ...]:
+    """Residues that generate (Z/e)^x, at most omega(e) + 1 of them (Ireland &
+    Rosen, ch. 4): a primitive root mod p^k for each odd p^k || e, and -1
+    (k >= 2) and 5 (k >= 3) for 2^k || e, each lifted to 1 mod the rest of e."""
+    gens = []
+    for p, k in factorize(e).factors:
+        q, g = p**k, primitive_root(p)
+        # g or g + p is a primitive root mod every power of p
+        local = [-1] * (k >= 2) + [5] * (k >= 3) if p == 2 else [g + p * (pow(g, p - 1, p * p) == 1)]
+        one = e // q * pow(e // q, -1, q)  # 1 mod q, 0 mod e / q
+        gens += [(1 + (h - 1) * one) % e for h in local]
+    return tuple(gens)
+
+
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd positive n."""
     if n <= 0 or n % 2 == 0:

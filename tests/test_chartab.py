@@ -12,16 +12,21 @@ from quadsym.chartab import (
     CharTableError,
     CharacterTable,
     CycInt,
+    DetReport,
+    _basis,
     _charpoly,
     _common_eigenvectors,
     _derivative_bound,
     _det_bound,
     _det_stack,
+    _embedding_maps,
     _embedding_prime,
-    _modular_det,
+    _lift,
+    _primes,
     _restrict,
     _rref_stack,
     _split_space,
+    _table_images,
     _unit_perm,
     _units,
     character_table,
@@ -31,10 +36,10 @@ from quadsym.chartab import (
     galois_apply,
     verify_orthogonality,
 )
-from quadsym.groups import OrderCapExceeded, conjugacy_classes, make_group
+from quadsym.groups import OrderCapExceeded, class_power_chains, conjugacy_classes, make_group
 from quadsym.groupspec import parse_group_spec
 from quadsym.ntheory import factorize, fundamental_discriminant
-from quadsym.reciprocity import discriminant, real_complex_split, symbol_character
+from quadsym.reciprocity import CheckResult, _check, discriminant, real_complex_split, symbol_character
 
 
 def table_for(build, label, **kw):
@@ -56,25 +61,30 @@ def test_cyclotomic_polynomial_known():
 
 
 def test_cyclotomic_polynomials_multiply_back():
-    for e in range(1, 37):
-        prod = [1]
-        for d in range(1, e + 1):
-            if e % d == 0:
-                phi_d = cyclotomic_polynomial(d)
-                nxt = [0] * (len(prod) + len(phi_d) - 1)
-                for i, a in enumerate(prod):
-                    for j, b in enumerate(phi_d):
-                        nxt[i + j] += a * b
-                prod = nxt
-        want = [0] * (e + 1)
-        want[0], want[e] = -1, 1
-        assert prod == want, e
+    # prod over d | e of Phi_d = X^e - 1 for every e <= 1000; with Phi_1 =
+    # X - 1 this fixes every Phi_e, as the quotient of X^e - 1 by the monic
+    # Phi_d of the proper divisors.  The products are taken in int64, which
+    # wraps mod 2^64, and mod two primes below 2^20, where every convolution
+    # sums at most 1001 products below 2^40 exactly.  Their coefficients are
+    # below prod |Phi_d|_1, so agreement mod 2^64 * p * q makes them equal.
+    p, q = 1048571, 1048573
+    for e in range(1, 1001):
+        divisors = [d for d in range(1, e + 1) if e % d == 0]
+        factors = [np.array(cyclotomic_polynomial(d), dtype=np.int64) for d in divisors]
+        assert 2 * (math.prod(int(np.abs(f).sum()) for f in factors) + 1) < 2**64 * p * q, e
+        want = np.zeros(e + 1, dtype=np.int64)
+        want[[0, e]] = -1, 1
+        for modulus in (None, p, q):
+            prod = np.ones(1, dtype=np.int64)
+            for f in factors:
+                prod = np.convolve(prod, f) if modulus is None else np.convolve(prod, f) % modulus
+            assert np.array_equal(prod, want if modulus is None else want % modulus), (e, modulus)
 
 
 def test_cyclotomic_polynomial_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for e in range(1, 1001):
+    for e in range(1, 201):
         poly = cyclotomic_polynomial(e)
         assert list(poly) == sympy.cyclotomic_poly(e, x, polys=True).all_coeffs()[::-1], e
         assert len(poly) - 1 == sympy.totient(e), e
@@ -147,6 +157,8 @@ def split_oracle(space, R, P):
             pieces.append(rref_oracle(nullspace_oracle((T - lam * eye) % P, P) @ basis % P, P))
     return pieces
 
+
+PSL27 = "perm:[(1 2 3 4 5 6 7),(1 2)(3 6)]"
 
 # the primes of the tests: tiny, a splitting prime of the benchmark's tables,
 # sym:7's, and the largest embedding prime of any conductor
@@ -373,6 +385,17 @@ def leibniz_bound(rows, e):
     return root_norm * math.prod(sum(map(l1, row)) for row in rows)
 
 
+def modular_det(rows, e, bound, label):
+    """det of a square matrix over Z[z] from its images at every unit mod
+    each prime, with the primes and those images."""
+    m = len(rows)
+    T = CharacterTable(label, e, 0, tuple(range(m)), (1,) * m, tuple(map(tuple, rows)))
+    primes = _primes(e, bound, label)
+    E = _table_images(T, primes, np.arange(len(_units(e))))
+    s = np.array([_det_stack(images, P) for P, images in zip(primes, E)])
+    return _lift(e, primes, [T.images[P][0][1] for P in primes], s), np.array(primes), s
+
+
 def test_modular_det_matches_leibniz():
     # random matrices have no column norms to prove, so the Leibniz bound
     rng = random.Random(31)
@@ -382,18 +405,18 @@ def test_modular_det_matches_leibniz():
         rand = lambda: CycInt(e, tuple(rng.randrange(-big, big + 1) for _ in range(phi)))
         for m in range(1, 6):
             rows = [[rand() for _ in range(m)] for _ in range(m)]
-            det, primes, _ = _modular_det(rows, e, leibniz_bound(rows, e), "random")
+            det, primes, _ = modular_det(rows, e, leibniz_bound(rows, e), "random")
             assert det == leibniz_det(rows, e), (e, m)
             if m > 1:
                 assert len(primes) >= 2, (e, m)
         # a zero (0, 0) entry forces a row swap in every image
         rows = [[rand() for _ in range(3)] for _ in range(3)]
         rows[0][0] = CycInt.integer(e, 0)
-        assert _modular_det(rows, e, leibniz_bound(rows, e), "swap")[0] == leibniz_det(rows, e), e
+        assert modular_det(rows, e, leibniz_bound(rows, e), "swap")[0] == leibniz_det(rows, e), e
         # the third row is a Z[z]-combination of the first two
         u, v = rand(), rand()
         rows[2] = [u * a + v * b for a, b in zip(rows[0], rows[1])]
-        assert _modular_det(rows, e, leibniz_bound(rows, e), "singular")[0] == 0, e
+        assert modular_det(rows, e, leibniz_bound(rows, e), "singular")[0] == 0, e
 
 
 def test_derivative_bound_is_below_the_discriminant():
@@ -423,8 +446,8 @@ def test_det_bound_is_sound_and_sets_the_prime_count(build, catalog):
         T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
         e = T.conductor
         bound = _det_bound(e, [b.G.n // b.S.classes[j].size for j in T.class_order])
-        det, primes, _ = _modular_det(T.entries, e, bound, label)
-        assert det == _modular_det(T.entries, e, leibniz_bound(T.entries, e), label)[0], label
+        det, primes, _ = modular_det(T.entries, e, bound, label)
+        assert det == modular_det(T.entries, e, leibniz_bound(T.entries, e), label)[0], label
         assert max(map(abs, det.coeffs)) <= bound, label
         # the least number of primes, taken largest first, with Q > 2B
         assert primes.tolist() == [_embedding_prime(e, k) for k in range(len(primes))], label
@@ -721,30 +744,268 @@ def test_chartab_builds_the_embedding_maps_once_per_prime(monkeypatch, capsys):
 
 
 def test_table_images_are_kept_per_table(build):
-    b, T = table_for(build, "sym:4")
+    def record(T):
+        return {P: dict(found) for P, (_, found) in T.images.items()}
+
+    def same(old, new):
+        return old.keys() == new.keys() and all(
+            old[P].keys() == new[P].keys() and all(old[P][t] is new[P][t] for t in old[P]) for P in old
+        )
+
+    b, T = table_for(build, "sl2:8")
     verify_orthogonality(b.G, b.S, T)
-    kept = list(T.images)
-    assert kept and all(not E.flags.writeable for _, _, E in kept)
+    after_orthogonality = record(T)
     det_identities(b.G, b.S, b.split, T, b.D)
-    assert all(x is y for x, y in zip(T.images, kept))
+    # one record per prime: the embedding maps, and the images by unit
+    # index; the first prime's cover all 36 units mod e = 126, to decide the
+    # Galois action, the second's only 1, -1 and the generators 29 and 73
+    first, second = _embedding_prime(126, 0), _embedding_prime(126, 1)
+    assert list(T.images) == [first, second]
+    assert all(T.images[P][0] is _embedding_maps(126, P) for P in T.images)
+    assert sorted(T.images[first][1]) == list(range(36))
+    assert sorted(_units(126)[t] for t in T.images[second][1]) == [1, 29, 73, 125]
+    # each prime's image at a unit is computed once per table: det_identities
+    # keeps what verify_orthogonality computed, and a second run adds nothing
+    kept = record(T)
+    assert all(kept[P][t] is E for P, found in after_orthogonality.items() for t, E in found.items())
+    verify_orthogonality(b.G, b.S, T)
+    det_identities(b.G, b.S, b.split, T, b.D)
+    assert same(kept, record(T))
     # a table made from this one by replace starts without images
-    assert dataclasses.replace(T, entries=T.entries).images == []
+    assert dataclasses.replace(T, entries=T.entries).images == {}
 
 
-@pytest.mark.parametrize("label", ["cyclic:11*sym:3", "dihedral:12*sym:4"])
-def test_library_pipeline_matches_the_benchmark_reference(build, label):
-    # the benchmark's chartab_lib JSON: the chartab --json fields with the
-    # class cap raised; at seed 0 the tables take 8 and 9 splits at P = 67
-    # and 61
-    import hashlib
-    import json
-    from pathlib import Path
+# Oracles: verify_orthogonality and det_identities as they were before the
+# Galois action was decided at the generators of the units, with every check
+# at every unit of every prime.
 
-    reference = Path(__file__).parents[1] / "bench" / "reference.json"
-    if not reference.is_file():
-        pytest.skip("no benchmark reference in this checkout")
+
+def images_oracle(rows, e, bound, label):
+    """(P, interp, E) for each prime P until the product exceeds 2 * bound,
+    E[t] the matrix under z -> w^units[t] mod P."""
+    m, phi = len(rows), len(cyclotomic_polynomial(e)) - 1
+    coeffs = np.array([[z.coeffs for z in row] for row in rows], dtype=object).reshape(m * m, phi)
+    found, Q = [], 1
+    while not found or Q <= 2 * bound:
+        P = _embedding_prime(e, len(found))
+        if P is None:
+            last = found[-1][0] if found else None
+            raise CharTableError(f"{label}: too few primes 1 mod {e} below 2^24 (last P = {last})")
+        vander, interp = _embedding_maps(e, P)
+        found.append((P, interp, (vander @ (coeffs % P).astype(np.int64).T % P).reshape(phi, m, m)))
+        Q *= P
+    return found
+
+
+def l1(z):
+    return sum(map(abs, z.coeffs))
+
+
+def orthogonality_oracle(G, S, T):
+    m, n, e = T.m, G.n, T.conductor
+    sizes = np.array([S.classes[j].size for j in T.class_order])
+    norms = np.array([[l1(z) for z in row] for row in T.entries], dtype=object)
+    sums = max(((norms * sizes) @ norms.T).max(), (norms.T @ norms).max())
+    wants = {"row": n * np.eye(m, dtype=np.int64), "column": np.diag(n // sizes)}
+    found = images_oracle(T.entries, e, _basis(e).root_norm * sums + n, T.label)
+    primes = np.array([P for P, _, _ in found])
+    E = np.stack([E for _, _, E in found])
+    P = primes.reshape(-1, 1, 1, 1)
+    # the relations at -u are the transposes of those at u: half the units do
+    half = [t for t, u in enumerate(_units(e)) if 2 * (u % e) <= e]
+    E, conj = E[:, half], E[:, _unit_perm(e, -1)[half]]
+    got = {
+        "row": np.matmul(E * sizes % P, conj.swapaxes(-1, -2)) % P,
+        "column": np.matmul(E.swapaxes(-1, -2), conj) % P,
+    }
+    for kind, want in wants.items():
+        bad = (got[kind] != want % P).any(axis=1)  # per prime
+        bad |= bad.swapaxes(-1, -2)
+        first = np.triu(bad.any(axis=0))
+        if not first.any():
+            continue
+        a, b = (int(x) for x in np.argwhere(first)[0])
+        if kind == "row":
+            terms = [(int(sizes[j]), T.entries[a][j], T.entries[b][j]) for j in range(m)]
+        else:
+            terms = [(1, T.entries[i][a], T.entries[i][b]) for i in range(m)]
+        total = sum((h * (x * galois_apply(y, -1)) for h, x, y in terms), CycInt.integer(e, 0))
+        raise CharTableError(
+            f"{T.label}: {kind} orthogonality fails at {kind}s {a}, {b}: "
+            f"got {total}, want {int(want[a, b])} (P = {primes[bad[:, a, b].argmax()]})"
+        )
+
+
+def det_identities_oracle(G, S, split, T, D):
+    e = T.conductor
+    centralizers = np.array([G.n // S.classes[j].size for j in T.class_order])
+    norms = np.array([[l1(z) for z in row] for row in T.entries], dtype=object)
+    C = _basis(e).root_norm
+    col_bound = max(C * norms.max(), C * (norms * norms).sum(axis=0).max() + G.n)
+    found = images_oracle(T.entries, e, col_bound, T.label)
+    E = np.stack([E for _, _, E in found])
+    P = np.array([P for P, _, _ in found])[:, None, None]
+    bad = (E * E[:, _unit_perm(e, -1)]).sum(axis=2) % P != centralizers % P  # per prime, unit, column
+    if bad.any():
+        j = int(bad.any(axis=(0, 1)).argmax())
+        column = [row[j] for row in T.entries]
+        total = sum((x * galois_apply(x, -1) for x in column), CycInt.integer(e, 0))
+        raise CharTableError(
+            f"{T.label}: column {j} has norm {total}, want {centralizers[j]}, so Hadamard's "
+            f"bound on det does not hold (P = {P[bad[..., j].any(axis=1).argmax(), 0, 0]})"
+        )
+
+    coeffs, Q, primes, s = [0] * _basis(e).phi, 1, [], []
+    for P, interp, images in images_oracle(T.entries, e, _det_bound(e, centralizers.tolist()), T.label):
+        s.append(_det_stack(images, P))
+        residues = (interp @ s[-1] % P).tolist()
+        t = pow(Q, -1, P)
+        coeffs = [x + Q * ((r - x) * t % P) for x, r in zip(coeffs, residues)]
+        Q *= P
+        primes.append(P)
+    det = CycInt(e, tuple(x - Q if 2 * x > Q else x for x in coeffs))
+    primes, s = np.array(primes), np.array(s)
+    checks = []
+
+    det2 = det * det
+    d2_ok = det2.is_rational()
+    det_squared = det2.to_int() if d2_ok else 0
+    ell = 0
+    dval = D.value.value()
+    if d2_ok and det_squared % dval == 0:
+        q, rem = divmod(det_squared, dval)
+        ell = math.isqrt(q) if q >= 0 else 0
+    ratio_ok = d2_ok and ell >= 1 and ell * ell * dval == det_squared
+    checks.append(_check("det_squared_is_ell2_d", ratio_ok, f"det^2 = {det2}, d = {dval}"))
+
+    chains = T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
+    sym = symbol_character(G, S, chains)
+
+    def scales_det(a):
+        return not ((s[:, _unit_perm(e, a)] - sym(a) * s) % primes[:, None]).any()
+
+    conj_ok = scales_det(-1)
+    checks.append(_check("conjugate_det", conj_ok, f"conj(det) != ({sym(-1)}) * det"))
+
+    galois_witness = column_witness = None
+    for a in _units(e):
+        moved = (E[:, _unit_perm(e, a)] != E[..., chains.at(a)]).any(axis=(0, 1))
+        if moved.any():
+            i, j = np.argwhere(moved)[0]
+            column_witness = f"a = {a}, row {i}, column {j}"
+        if not scales_det(a):
+            galois_witness = f"a = {a}, symbol {sym(a)}"
+        if galois_witness or column_witness:
+            break
+    checks.append(CheckResult("galois_scales_det_by_symbol", not galois_witness, galois_witness))
+    checks.append(CheckResult("galois_permutes_columns", not column_witness, column_witness))
+
+    mod4_ok = d2_ok and det_squared % 4 in (0, 1)
+    checks.append(_check("det_squared_mod_4", mod4_ok, f"det^2 = {det_squared} = {det_squared % 4} mod 4"))
+    return DetReport(det=det, det_squared=det_squared, ell=ell, checks=tuple(checks))
+
+
+def outcome(check, *args):
+    """What a check returns, or the text of the CharTableError it raises."""
+    try:
+        return check(*args)
+    except CharTableError as exc:
+        return f"error: {exc}"
+
+
+def galois_oracle(b, T):
+    """Whether z -> z^a moves column j to column chains.at(a)[j] at every
+    unit a, in exact arithmetic."""
+    chains = class_power_chains(b.G, b.S).relabel(T.class_order)
+    units = _units(T.conductor)
+    moved = (galois_apply(row[j], a) == row[chains.at(a)[j]] for a in units for row in T.entries for j in range(T.m))
+    return all(moved)
+
+
+def assert_checks_match_the_oracles(b, T):
+    # det_identities on a table of its own, and after verify_orthogonality on
+    # the same table, as chartab runs them
+    fresh = lambda: dataclasses.replace(T, entries=T.entries)
+    want_orth = outcome(orthogonality_oracle, b.G, b.S, fresh())
+    want_det = outcome(det_identities_oracle, b.G, b.S, b.split, fresh(), b.D)
+    assert outcome(det_identities, b.G, b.S, b.split, fresh(), b.D) == want_det, T.label
+    shared = fresh()
+    assert outcome(verify_orthogonality, b.G, b.S, shared) == want_orth, T.label
+    assert outcome(det_identities, b.G, b.S, b.split, shared, b.D) == want_det, T.label
+    # the Galois action the checks decided at the generators, against every
+    # unit in exact arithmetic, where that is quick
+    if len(_units(T.conductor)) * T.m**2 <= 5000:
+        assert shared.galois == [galois_oracle(b, T)], T.label
+    return want_orth, want_det
+
+
+def test_checks_match_the_all_units_oracles(build, catalog):
+    labels = [label for label in catalog if build(label).S.m <= 16]
+    labels += ["cyclic:11*sym:3", "dihedral:12*sym:4", "sl2:16", PSL27]
+    for label in labels:
+        b = build(label)
+        orth, det = assert_checks_match_the_oracles(b, character_table(b.G, b.S, b.split, max_classes=b.S.m))
+        assert orth is None and det.ok, label
+
+
+def test_existing_corruptions_match_the_oracles(build):
+    # the inputs of test_orthogonality_detects_corruption,
+    # test_det_identities_detect_corruption and
+    # test_det_identities_need_the_column_norms
+    b, T = table_for(build, "sym:3")
+    rows = [list(r) for r in T.entries]
+    rows[2][1] = CycInt.integer(T.conductor, 1)
+    # built without the power chains, which the checks then compute
+    bare = CharacterTable(T.label, T.conductor, T.prime, T.class_order, T.degrees, tuple(map(tuple, rows)))
+    assert_checks_match_the_oracles(b, bare)
+    rows = [list(r) for r in T.entries]
+    rows[1][0] = rows[1][0] + 10**40
+    assert_checks_match_the_oracles(b, dataclasses.replace(T, entries=tuple(map(tuple, rows))))
+    b, T = table_for(build, "cyclic:5")
+    z = CycInt.root_power(5, 1)
+    for last in (tuple(x * z for x in T.entries[-1]), (CycInt.integer(5, 0),) * 5):
+        assert_checks_match_the_oracles(b, dataclasses.replace(T, entries=T.entries[:-1] + (last,)))
+    for label in ["cyclic:5", "sym:4", PSL27]:
+        b, T = table_for(build, label)
+        for j in range(T.m):
+            rows = tuple(row[:j] + (2 * row[j],) + row[j + 1 :] for row in T.entries)
+            assert_checks_match_the_oracles(b, dataclasses.replace(T, entries=rows))
+
+
+CORRUPTED = ["cyclic:5", "cyclic:12", "sym:4", "q8", "dihedral:6", "cyclic:3*dihedral:4", "alt:5", PSL27]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(CORRUPTED),
+    st.sampled_from(["entry", "row times z", "column doubled"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+)
+def test_corrupted_tables_match_the_oracles(build, label, kind, i, j, values):
     b = build(label)
-    T = character_table(b.G, b.S, b.split, seed=0, max_classes=64)
+    T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
+    e, m = T.conductor, T.m
+    i, j = i % m, j % m
+    rows = [list(row) for row in T.entries]
+    if kind == "entry":
+        phi = _basis(e).phi
+        rows[i][j] = CycInt(e, tuple((values * phi)[:phi]))
+    elif kind == "row times z":
+        rows[i] = [x * CycInt.root_power(e, values[0]) for x in rows[i]]
+    else:
+        for row in rows:
+            row[j] = 2 * row[j]
+    assert_checks_match_the_oracles(b, dataclasses.replace(T, entries=tuple(map(tuple, rows))))
+
+
+def library_report(b, max_classes=64):
+    """The benchmark's chartab_lib JSON line: the chartab --json fields with
+    the class cap raised."""
+    import json
+
+    T = character_table(b.G, b.S, b.split, max_classes=max_classes)
     verify_orthogonality(b.G, b.S, T)
     det = det_identities(b.G, b.S, b.split, T, b.D)
     obj = {
@@ -761,6 +1022,46 @@ def test_library_pipeline_matches_the_benchmark_reference(build, label):
         "d": b.D.value.decimal(),
         "checks": [{"name": c.name, "ok": c.ok, "witness": c.witness} for c in det.checks],
     }
-    out = json.dumps(obj, separators=(",", ":")) + "\n"
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("label", ["cyclic:11*sym:3", "dihedral:12*sym:4"])
+def test_library_pipeline_matches_the_benchmark_reference(build, label):
+    # at seed 0 the tables take 8 and 9 splits at P = 67 and 61
+    import hashlib
+    import json
+    from pathlib import Path
+
+    reference = Path(__file__).parents[1] / "bench" / "reference.json"
+    if not reference.is_file():
+        pytest.skip("no benchmark reference in this checkout")
+    out = library_report(build(label))
     want = json.loads(reference.read_text())["outputs"][f"chartab_lib {label}"]
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+GOLDEN_LIBRARY = ["cyclic:11*sym:3", "dihedral:12*sym:4", "sl2:16"]
+
+
+def golden_outputs(build, catalog, capsys):
+    """(key, stdout) for tests/chartab_golden.json: ``chartab --json`` on
+    every catalog group with at most 16 classes and on PSL(2, 7), and the
+    library report past the class cap."""
+    from quadsym import cli
+
+    for label in [label for label in catalog if build(label).S.m <= 16] + [PSL27]:
+        assert cli.main(["chartab", label, "--json"]) == 0, label
+        yield f"chartab {label}", capsys.readouterr().out
+    for label in GOLDEN_LIBRARY:
+        yield f"chartab_lib {label}", library_report(build(label))
+
+
+def test_chartab_outputs_match_the_golden_hashes(build, catalog, capsys):
+    import hashlib
+    import json
+    from pathlib import Path
+
+    want = json.loads((Path(__file__).parent / "chartab_golden.json").read_text())
+    outputs = golden_outputs(build, catalog, capsys)
+    got = {key: hashlib.sha256(out.encode()).hexdigest() for key, out in outputs}
+    assert got == want

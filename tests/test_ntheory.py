@@ -14,6 +14,8 @@ from quadsym.ntheory import (
     jacobi,
     kronecker,
     n_star,
+    primitive_root,
+    unit_generators,
 )
 
 ODD_PRIMES = [p for p in range(3, 100) if is_prime(p)]
@@ -260,3 +262,33 @@ def test_is_perfect_square():
     assert not is_perfect_square(factorize(-4))
     assert not is_perfect_square(factorize(18000))
     assert is_perfect_square(FactoredInt(0, ()))
+
+
+def test_primitive_root_is_the_least_generator():
+    for p in [2, *ODD_PRIMES, 101, 257]:
+        order = lambda g: len({pow(g, k, p) for k in range(p - 1)})
+        g = primitive_root(p)
+        assert order(g) == p - 1 and all(order(h) < p - 1 for h in range(1, g)), p
+
+
+def subgroup(gens, e):
+    """The residues mod e reached by products of powers of ``gens``."""
+    reached = {1 % e}
+    for g in gens:
+        cycle, x = [1 % e], g % e
+        while x != 1 % e:
+            cycle.append(x)
+            x = x * g % e
+        reached = {r * c % e for r in reached for c in cycle}
+    return reached
+
+
+def test_unit_generators_generate_the_units():
+    for e in range(1, 2001):
+        gens = unit_generators(e)
+        units = {a for a in range(e) if math.gcd(a, e) == 1}
+        assert all(0 < g < e and math.gcd(g, e) == 1 for g in gens), e
+        assert len(gens) <= len(factorize(e).factors) + 1, e
+        assert subgroup(gens, e) == units, e
+    # (Z/2^k)^x is trivial, then cyclic of order 2, then {+-1} x <5>
+    assert [unit_generators(e) for e in (1, 2, 4, 8, 16)] == [(), (), (3,), (7, 5), (15, 5)]
