@@ -821,7 +821,7 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
         )
 
     chains = _chains(G, S, T)
-    sym = symbol_character(G, S, chains)
+    sym = symbol_character(G, S)
     tests = _units(e) if every else unit_generators(e)
     det_primes = np.array(_primes(e, _det_bound(e, centralizers.tolist()), T.label))
     reached = np.concatenate([checked, *(_unit_perm(e, a)[checked] for a in (-1, *tests))])

@@ -16,7 +16,7 @@ check multiply whole index arrays at once; the closure multiplies a whole
 level of rows at once.
 
 ``class_power_chains`` tabulates the class power map at every exponent in one
-array, whose layout only ``PowerChains`` reads.
+array, for chartab alone; ``class_power_map`` answers one exponent.
 """
 from __future__ import annotations
 
@@ -588,8 +588,8 @@ def class_power_chains(G: GroupTable, S: ClassSet) -> PowerChains:
 
 
 def class_power_map(G: GroupTable, S: ClassSet, a: int) -> tuple[int, ...]:
-    """The permutation j -> class of (rep_j)^a, for a coprime to the order:
-    one power per class (``class_power_chains`` tabulates every exponent)."""
+    """The permutation j -> class of (rep_j)^a, for a coprime to the order, one
+    power per class: the symbol's path (only chartab reads the power chains)."""
     b = a % G.n if G.n > 0 else 0
     if math.gcd(b, G.n) != 1:
         raise ValueError(f"{a} is not coprime to the group order {G.n}")

@@ -17,8 +17,6 @@ from typing import Optional
 from .groups import (
     ClassSet,
     GroupTable,
-    PowerChains,
-    class_power_chains,
     class_power_map,
     conjugacy_classes,
     permutation_parity,
@@ -31,6 +29,7 @@ from .ntheory import (
     is_perfect_square,
     kronecker,
     n_star,
+    unit_generators,
 )
 
 
@@ -90,23 +89,24 @@ class SymbolCharacter:
         return self.values[a % self.modulus]
 
 
-def symbol_character(G: GroupTable, S: ClassSet, chains: Optional[PowerChains] = None) -> SymbolCharacter:
+def symbol_character(G: GroupTable, S: ClassSet) -> SymbolCharacter:
     """Tabulate the symbol over a full period 0..n-1.
 
-    The class of rep^a depends only on a mod the exponent e, so the power
-    chains give one class permutation, and one parity, per unit mod e.  Since
-    n and e have the same prime factors, a is a unit mod n exactly when a mod
-    e is a unit mod e; every other residue gets 0.  Chains already built may
-    be passed in any class numbering: renumbering conjugates each permutation
-    and keeps its parity.
+    rep^a depends only on a mod the exponent e, and pi_ab = pi_a pi_b, so the
+    symbol is a character of (Z/e)^x.  Each of ``unit_generators(e)`` extends
+    the subgroup found so far coset by coset, chi(h g^k) = chi(h) (g/G)^k,
+    until g^k is back in it; any generating set will do.  As n and e share
+    their primes, every other residue is off the units and gets 0.
     """
-    if chains is None:
-        chains = class_power_chains(G, S)
     e = G.exponent
-    by_residue = [
-        permutation_parity(chains.at(a).tolist()) if math.gcd(a, e) == 1 else 0 for a in range(e)
-    ]
-    return SymbolCharacter(modulus=G.n, values=tuple(by_residue) * (G.n // e))
+    chi = {1 % e: 1}
+    for g in unit_generators(e):
+        s, subgroup = quadratic_symbol(G, S, g), list(chi.items())
+        x, v = g, s
+        while x not in chi:
+            chi.update((h * x % e, c * v) for h, c in subgroup)
+            x, v = x * g % e, v * s
+    return SymbolCharacter(G.n, tuple(chi.get(a, 0) for a in range(e)) * (G.n // e))
 
 
 @dataclass(frozen=True)

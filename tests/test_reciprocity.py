@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from quadsym.groups import conjugacy_classes, make_group
+from quadsym.groups import class_power_chains, conjugacy_classes, make_group, permutation_parity
 from quadsym.groupspec import parse_group_spec
-from quadsym.ntheory import is_perfect_square, kronecker, n_star
+from quadsym.ntheory import is_perfect_square, kronecker, n_star, unit_generators
 from quadsym.reciprocity import (
     discriminant,
     quadratic_symbol,
@@ -193,3 +193,61 @@ def test_symbol_agrees_with_kronecker_spot(build):
         b = build(label)
         for a in range(-10, 2 * b.G.n):
             assert quadratic_symbol(b.G, b.S, a) == kronecker(b.D.value, a), (label, a)
+
+
+def symbol_by_chains(G, S):
+    """The symbol tabulated one unit at a time: one class permutation from
+    the power chains, and one parity, per unit a mod the exponent e."""
+    chains = class_power_chains(G, S)
+    e = G.exponent
+    by_residue = [permutation_parity(chains.at(a).tolist()) if math.gcd(a, e) == 1 else 0 for a in range(e)]
+    return tuple(by_residue) * (G.n // e)
+
+
+SYMBOL_ORACLE_EXTRA = [
+    "cyclic:840",  # generators -1, 5 and one per odd prime
+    "abelian:2,4,8",
+    "abelian:4,8,9,5",
+    "dihedral:100",
+    "sym:7",
+    "cyclic:11*sym:3",
+]
+
+
+def test_symbol_character_matches_the_chains_at_every_unit(build, catalog):
+    for label in [*catalog, *SYMBOL_ORACLE_EXTRA]:
+        b = build(label)
+        assert symbol_character(b.G, b.S).values == symbol_by_chains(b.G, b.S), label
+
+
+def test_symbol_character_takes_one_parity_per_generator(build, monkeypatch):
+    from quadsym import reciprocity
+
+    calls = 0
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return permutation_parity(p)
+
+    monkeypatch.setattr(reciprocity, "permutation_parity", counting)
+    for label in ["cyclic:840", "sl2:16"]:
+        b = build(label)
+        budget, calls = len(unit_generators(b.G.exponent)), 0
+        symbol_character(b.G, b.S)
+        assert calls <= budget, (label, calls, budget)
+
+
+def test_symbol_tables_of_large_groups_match_the_golden_hashes(capsys):
+    import hashlib
+    import json
+    from pathlib import Path
+
+    from quadsym import cli
+
+    want = json.loads((Path(__file__).parent / "symbol_golden.json").read_text())
+    got = {}
+    for key in want:
+        assert cli.main([*key.split(), "--table", "--json"]) == 0, key
+        got[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == want
