@@ -10,10 +10,11 @@ characteristic polynomial (Hessenberg form, then one Horner pass over all
 of F_P), with the null spaces of all roots from one stacked row reduction.
 We then recover each entry exactly: the eigenvalue multiplicities
 of a representation at a group element are small nonnegative integers, so
-knowing them mod a large enough P pins them down.  The eliminations mod P
-reduce only the pivot row and column at each step; any other entry gains
-less than (P - 1)^2 per step, so c columns stay exact in int64 while
-c (P - 1)^2 + P < 2^63, which each elimination asserts.
+knowing them mod a large enough P pins them down.  One stacked Gauss-Jordan
+elimination mod P (_rref_stack) gives both the null spaces and the
+determinants; it reduces only the pivot row and column at each step, so any
+other entry gains less than (P - 1)^2 per step, and c columns stay exact in
+int64 while c (P - 1)^2 + P < 2^63, which it asserts.
 
 The identities on a table are decided without arithmetic in Z[z]: for primes
 P = 1 mod e below 2^24, Phi_e splits mod P into the factors X - w^u (w of
@@ -297,39 +298,6 @@ def _primes(e: int, bound: int, label: str) -> list[int]:
     return primes
 
 
-def _det_stack(A: np.ndarray, P) -> np.ndarray:
-    """Determinants of a stack of square matrices, matrix k mod P[k] (or all
-    mod one P), all at once, by elimination with the pivot's inverse; the
-    stack itself is left as it is.
-
-    Only the pivot column and the pivot row are reduced at each step: every
-    other entry gains a product of two residues, below (P - 1)^2, per step,
-    so m steps stay exact in int64 while m (P - 1)^2 + P < 2^63.
-    """
-    b, m, _ = A.shape
-    top = int(np.max(P, initial=0))
-    assert m * (top - 1) ** 2 + top < 2**63, (m, top)
-    P = np.broadcast_to(np.asarray(P, dtype=np.int64), (b,))
-    mods = P.tolist()
-    A = A % P[:, None, None]
-    stack = np.arange(b)
-    det = np.ones(b, dtype=np.int64)
-    odd = np.zeros(b, dtype=bool)  # an odd number of row swaps
-    for k in range(m):
-        col = A[:, k:, k] % P[:, None]
-        piv = (col != 0).argmax(axis=1)  # 0 when the column is zero, and det is 0
-        if piv.any():
-            A[stack, k, k:], A[stack, k + piv, k:] = A[stack, k + piv, k:], A[stack, k, k:]
-            col[stack, 0], col[stack, piv] = col[stack, piv], col[stack, 0]
-            odd ^= piv != 0
-        det = det * col[:, 0] % P
-        pivots = col[:, 0].tolist()
-        inv = np.array([pow(x, -1, p) if x else 0 for x, p in zip(pivots, mods)], dtype=np.int64)
-        neg = -col[:, 1:] * inv[:, None] % P[:, None]
-        A[:, k + 1 :, k + 1 :] += neg[:, :, None] * (A[:, None, k, k + 1 :] % P[:, None, None])
-    return np.where(odd, -det % P, det)
-
-
 def _derivative_bound(e: int) -> tuple[int, int]:
     """(num, den) with num / den <= |Phi_e'(zeta)| at every primitive e-th
     root of unity zeta.
@@ -378,21 +346,31 @@ def _lift(e: int, primes: Sequence[int], interps: Sequence[np.ndarray], s: np.nd
 # linear algebra mod P
 
 
-def _rref_stack(A: np.ndarray, P: int) -> np.ndarray:
-    """Reduced row echelon forms mod P of a stack of matrices with entries in
-    [0, P), in place and all at once; returns which columns of each hold a
-    pivot.  At each column every matrix takes its own pivot row, swaps it up
-    to its rank, scales it by the pivot's inverse and clears the column in
-    every other row.  The lazy reduction of _det_stack holds with c columns
-    in place of m steps.
+def _rref_stack(A: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of a stack of matrices with entries in
+    [0, P), matrix k mod P[k] (or all mod one P), in place and all at once.
+    Returns which columns of each hold a pivot, and each determinant: the
+    product of the pivots, negated per row swap, and 0 once a column has no
+    pivot, which is det for a square matrix.
+
+    At each column every matrix takes its own pivot row, swaps it up to its
+    rank, scales it by the pivot's inverse and clears the column in every
+    other row.  Only the pivot column and the pivot row are reduced at each
+    step: every other entry gains a product of two residues, below (P - 1)^2,
+    per step, so c columns stay exact in int64 while c (P - 1)^2 + P < 2^63.
     """
     b, r, c = A.shape
-    assert c * (P - 1) ** 2 + P < 2**63, (c, P)
+    top = int(np.max(P, initial=0))
+    assert c * (top - 1) ** 2 + top < 2**63, (c, top)
+    P = np.broadcast_to(np.asarray(P, dtype=np.int64), (b,))
+    mods, Pc = P.tolist(), P[:, None]
     stack, rows = np.arange(b), np.arange(r)
     rank = np.zeros(b, dtype=np.intp)
     has = np.zeros((b, c), dtype=bool)
+    det = np.ones(b, dtype=np.int64)
+    odd = np.zeros(b, dtype=bool)  # an odd number of row swaps
     for k in range(c):
-        col = A[:, :, k] % P
+        col = A[:, :, k] % Pc
         cand = (col != 0) & (rows >= rank[:, None])
         found = has[:, k] = cand.any(axis=1)
         here = np.minimum(rank, r - 1)
@@ -400,20 +378,22 @@ def _rref_stack(A: np.ndarray, P: int) -> np.ndarray:
         if (piv != here).any():
             A[stack, here, k:], A[stack, piv, k:] = A[stack, piv, k:], A[stack, here, k:]
             col[stack, here], col[stack, piv] = col[stack, piv], col[stack, here]
-        pivot = np.where(found, col[stack, here], 1).tolist()
-        inv = np.array([pow(x, -1, P) for x in pivot], dtype=np.int64)
-        A[stack, here, k + 1 :] = row = A[stack, here, k + 1 :] % P * inv[:, None] % P
+            odd ^= piv != here
+        pivot = np.where(found, col[stack, here], 0)
+        det = det * pivot % P
+        inv = np.array([pow(x, -1, p) if x else 1 for x, p in zip(pivot.tolist(), mods)], dtype=np.int64)
+        A[stack, here, k + 1 :] = row = A[stack, here, k + 1 :] % Pc * inv[:, None] % Pc
         col[stack, here] = col[stack, here] * inv % P  # 1 at a pivot
         clear = (rows != here[:, None]) & found[:, None]
-        A[:, :, k + 1 :] += np.where(clear, -col % P, 0)[:, :, None] * row[:, None]
+        A[:, :, k + 1 :] += np.where(clear, -col % Pc, 0)[:, :, None] * row[:, None]
         A[:, :, k] = np.where(clear, 0, col)
         rank += found
-    return has
+    return has, np.where(odd, -det % P, det)
 
 
 def _restrict(R: np.ndarray, basis: np.ndarray, pivots: list[int], P: int) -> np.ndarray:
-    """Matrix of ``R`` on the span of ``basis`` (which must be invariant
-    and in reduced echelon form), in basis coordinates."""
+    """Matrix of ``R`` on the span of ``basis`` (which must be invariant,
+    with the identity at the columns ``pivots``), in basis coordinates."""
     images = basis @ R.T % P
     coords = images[:, pivots]
     if ((images - coords @ basis) % P).any():
@@ -455,9 +435,9 @@ def _charpoly(T: np.ndarray, P: int) -> np.ndarray:
 
 def _split_space(space, R, P):
     """The pieces of ``space`` on which R acts by one root of its
-    characteristic polynomial each, in root order, as (reduced echelon
-    basis, pivot columns): the null spaces of T - lam for all roots lam at
-    once, T being R restricted to ``space``."""
+    characteristic polynomial each, in root order, as (basis, the columns
+    where it is the identity): the null spaces of T - lam for all roots lam
+    at once, T being R restricted to ``space``."""
     basis, pivots = space
     d = len(basis)
     T = _restrict(R, basis, pivots, P)
@@ -467,7 +447,7 @@ def _split_space(space, R, P):
         values = (values * lams + c) % P
     eye = np.eye(d, dtype=np.int64)
     shifted = (T - np.flatnonzero(values == 0)[:, None, None] * eye) % P
-    has = _rref_stack(shifted, P)
+    has, _ = _rref_stack(shifted, P)
     nullity = d - has.sum(axis=1)
     if nullity.sum() != d:
         raise CharTableError("class matrices were not simultaneously diagonalizable")
@@ -478,15 +458,10 @@ def _split_space(space, R, P):
     Z = np.take_along_axis(shifted, np.maximum(has.cumsum(axis=1) - 1, 0)[:, :, None], axis=1)
     free = np.argsort(has, axis=1, kind="stable")[:, : nullity.max()]
     null = np.take_along_axis((eye - Z * has[:, :, None]).swapaxes(1, 2) % P, free[:, :, None], axis=1)
-    # basis is in reduced echelon form with the identity at ``pivots``, so
-    # rref(null @ basis) = rref(null) @ basis, whose pivot columns are
-    # pivots[j] for the pivot columns j of rref(null)
-    has = _rref_stack(null, P)
+    # null has the identity at the free columns and basis at ``pivots``, so
+    # null @ basis has it at pivots[f] for the free columns f
     sub = null @ basis % P
-    return [
-        (s[:k], [pivots[j] for j in np.flatnonzero(h).tolist()])
-        for s, h, k in zip(sub, has, nullity.tolist())
-    ]
+    return [(s[:k], [pivots[f] for f in fs[:k]]) for s, fs, k in zip(sub, free.tolist(), nullity.tolist())]
 
 
 def _common_eigenvectors(Ns, P, label, seed):
@@ -509,7 +484,8 @@ def _common_eigenvectors(Ns, P, label, seed):
         except CharTableError:
             continue
         if all(len(b) == 1 for b, _ in spaces):
-            vecs = [b[0].tolist() for b, _ in spaces]
+            # each line's vector scaled to lead with 1: its reduced echelon row
+            vecs = [(v * pow(int(v[v != 0][0]), -1, P) % P).tolist() for v in (b[0] for b, _ in spaces)]
             if len({tuple(v) for v in vecs}) == m:
                 return vecs
     raise CharTableError(f"{label}: eigenspace splitting did not converge in 4 attempts (P = {P})")
@@ -828,7 +804,7 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
     at = np.array(sorted(set(reached.tolist())))  # index 0, u = 1, first
     step = max(1, 2**22 // (len(at) * m * m))  # primes per elimination, about 32 MB of images
     chunks = [det_primes[k : k + step] for k in range(0, len(det_primes), step)]
-    dets = [_det_stack(_table_images(T, c, at).reshape(-1, m, m), np.repeat(c, len(at))) for c in chunks]
+    dets = [_rref_stack(_table_images(T, c, at).reshape(-1, m, m), np.repeat(c, len(at)))[1] for c in chunks]
     dets = np.concatenate(dets).reshape(len(det_primes), len(at))
     s = np.array([sym(u) for u in _units(e)]) * dets[:, :1] % det_primes[:, None]
     s[:, at] = dets

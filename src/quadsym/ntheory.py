@@ -215,37 +215,29 @@ def kronecker(d: int | FactoredInt, a: int) -> int:
     Completely multiplicative in a, with (d|2) read off from d mod 8 and
     (d|-1) = sign of d.  (d|0) is 1 exactly when d = 1.
     """
+    if not is_discriminant(d):
+        raise ValueError(f"{d} is not a discriminant")
     if isinstance(d, FactoredInt):
-        if not is_discriminant(d):
-            raise ValueError(f"{d} is not a discriminant")
-        sign_d, even_d, mod8 = d.sign, d.is_even(), d.mod(8)
-        residue = d.mod
-        is_one = d.is_one()
-    else:
-        if not is_discriminant(d):
-            raise ValueError(f"{d} is not a discriminant")
-        sign_d, even_d, mod8 = (-1 if d < 0 else 1), d % 2 == 0, d % 8
-        residue = lambda m: d % m
-        is_one = d == 1
+        d = d.value()
     if a == 0:
-        return 1 if is_one else 0
+        return 1 if d == 1 else 0
     result = 1
     if a < 0:
-        result = sign_d
+        result = -1 if d < 0 else 1
         a = -a
     s = 0
     while a % 2 == 0:
         a //= 2
         s += 1
     if s:
-        if even_d:
+        if d % 2 == 0:
             return 0
-        # odd discriminants are 1 mod 4, so mod8 is 1 or 5
-        if s % 2 and mod8 == 5:
+        # odd discriminants are 1 mod 4, so d is 1 or 5 mod 8
+        if s % 2 and d % 8 == 5:
             result = -result
     if a == 1:
         return result
-    return result * jacobi(residue(a), a)
+    return result * jacobi(d % a, a)
 
 
 def n_star(n: int) -> int:

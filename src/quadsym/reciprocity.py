@@ -153,6 +153,7 @@ def verify_group(G: GroupTable, S: Optional[ClassSet] = None) -> VerificationRep
     split = real_complex_split(S)
     D = discriminant(G, S, split)
     d = D.value
+    dv = d.value()
     n, m = G.n, S.m
     fd = fundamental_discriminant(d)
     sym = symbol_character(G, S)
@@ -163,12 +164,12 @@ def verify_group(G: GroupTable, S: Optional[ClassSet] = None) -> VerificationRep
     )
 
     tried = (*range(n), -1, -3, n + 1, 2 * n + 3)
-    bad = next((a for a in tried if sym(a) != kronecker(d, a)), None)
+    bad = next((a for a in tried if sym(a) != kronecker(dv, a)), None)
     checks.append(
         _check(
             "symbol_equals_kronecker",
             bad is None,
-            None if bad is None else f"a = {bad}: symbol {sym(bad)}, kronecker {kronecker(d, bad)}",
+            None if bad is None else f"a = {bad}: symbol {sym(bad)}, kronecker {kronecker(dv, bad)}",
         )
     )
 
@@ -183,7 +184,6 @@ def verify_group(G: GroupTable, S: Optional[ClassSet] = None) -> VerificationRep
     )
 
     if n % 2 == 1:
-        dv = d.value()
         checks.append(_check("odd_order_d_is_n_star", dv == n_star(n), f"d = {dv}, n* = {n_star(n)}"))
         checks.append(_check("odd_order_one_real_class", split.r1 == 1, f"r1 = {split.r1}"))
         checks.append(_check("odd_order_n_mod_16", n % 16 == m % 16, f"n = {n}, m = {m}"))
@@ -193,7 +193,7 @@ def verify_group(G: GroupTable, S: Optional[ClassSet] = None) -> VerificationRep
         ok = t == split.r1 and (t & (t - 1)) == 0
         sign = -1 if ((n - t) // 2) % 2 else 1
         expected = sign * n**t if ok else None
-        ok = ok and d.value() == expected
+        ok = ok and dv == expected
         checks.append(
             _check(
                 "abelian_closed_form",
@@ -208,7 +208,7 @@ def verify_group(G: GroupTable, S: Optional[ClassSet] = None) -> VerificationRep
         checks.append(
             _check(
                 "sl2_closed_form",
-                d.value() == formula.value(),
+                dv == formula.value(),
                 f"d = {d}, formula = {formula}",
             )
         )

@@ -18,7 +18,6 @@ from quadsym.chartab import (
     _common_eigenvectors,
     _derivative_bound,
     _det_bound,
-    _det_stack,
     _embedding_maps,
     _embedding_prime,
     _lift,
@@ -145,6 +144,11 @@ def det_stack_oracle(A, P):
     return np.where(odd, (P - det) % P, det)
 
 
+def det_stack(A, P):
+    """Determinants mod P (one prime, or one per matrix) by the elimination kernel, on a copy."""
+    return _rref_stack(np.asarray(A, dtype=np.int64) % np.reshape(P, (-1, 1, 1)), P)[1]
+
+
 def split_oracle(space, R, P):
     """_split_space root by root: a null space and a reduction per root."""
     basis, pivots = space
@@ -192,12 +196,14 @@ def awkward_stack(rng, b, r, c, P):
 def test_rref_stack_matches_the_oracle(P, b, r, c, seed):
     A = awkward_stack(np.random.default_rng(seed), b, r, c, P)
     before = A.copy()
-    has = _rref_stack(A, P)
-    assert has.shape == (b, c)
+    has, det = _rref_stack(A, P)
+    assert has.shape == (b, c) and det.shape == (b,)
     for s in range(b):
         rref, pivots = rref_oracle(before[s], P)
         assert np.flatnonzero(has[s]).tolist() == pivots
         assert (A[s, : len(pivots)] == rref).all() and not A[s, len(pivots) :].any()
+    if r == c:
+        assert det.tolist() == det_stack_oracle(before, P).tolist()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -205,8 +211,11 @@ def test_rref_stack_matches_the_oracle(P, b, r, c, seed):
 def test_det_stack_matches_the_oracle(P, b, m, seed):
     A = awkward_stack(np.random.default_rng(seed), b, m, m, P)
     before = A.copy()
-    assert _det_stack(A, P).tolist() == det_stack_oracle(A, P).tolist()
+    assert det_stack(A, P).tolist() == det_stack_oracle(A, P).tolist()
     assert (A == before).all()
+    # one prime per matrix, as the determinant identities stack them
+    mixed = np.random.default_rng(seed).choice(PRIMES, b)
+    assert det_stack(A, mixed).tolist() == [det_stack_oracle(M[None], int(q))[0] for M, q in zip(A, mixed)]
 
 
 def test_det_stack_at_the_headroom_bound():
@@ -218,15 +227,24 @@ def test_det_stack_at_the_headroom_bound():
     A[1, 7] = A[1, 90]  # singular
     A[2, :, 0] = 0
     A[2, 5, 0] = 1  # the first pivot takes a swap
-    got = _det_stack(A, P).tolist()
+    got = det_stack(A, P).tolist()
     assert got == det_stack_oracle(A, P).tolist() and got[1] == 0 and got[0] != 0
-    # past the headroom the kernels refuse before they start; an empty
-    # stack allocates nothing
+    # past the headroom the kernel refuses before it starts, at the largest
+    # prime when each matrix has its own; an empty stack allocates nothing
     big = 2**63 // (P - 1) ** 2 + 1
     with pytest.raises(AssertionError):
-        _det_stack(np.zeros((0, big, big), dtype=np.int64), P)
-    with pytest.raises(AssertionError):
         _rref_stack(np.zeros((0, 1, big), dtype=np.int64), P)
+    with pytest.raises(AssertionError):
+        _rref_stack(np.zeros((2, 1, big), dtype=np.int64), np.array([3, P]))
+
+
+def assert_same_piece(piece, want, P):
+    """A piece of _split_space spans the oracle's reduced echelon piece and
+    has the identity at its pivot columns, which is all _restrict needs."""
+    basis, pivots = piece
+    assert (basis[:, pivots] == np.eye(len(basis), dtype=np.int64)).all()
+    rref, rref_pivots = rref_oracle(basis, P)
+    assert rref_pivots == want[1] and (rref == want[0]).all()
 
 
 def test_split_space_with_a_repeated_root():
@@ -244,8 +262,8 @@ def test_split_space_with_a_repeated_root():
         want = split_oracle(space, R, P)
         assert [len(b) for b, _ in pieces] == [2, 1]
         assert len(pieces) == len(want)
-        for (basis, pivots), (want_basis, want_pivots) in zip(pieces, want):
-            assert pivots == want_pivots and (basis == want_basis).all()
+        for piece, want_piece in zip(pieces, want):
+            assert_same_piece(piece, want_piece, P)
         # and the whole space, where 3 is a repeated root too
         whole = (np.eye(5, dtype=np.int64), list(range(5)))
         assert [len(b) for b, _ in _split_space(whole, R, P)] == [2, 2, 1]
@@ -263,8 +281,31 @@ def test_split_space_matches_the_oracle_on_random_diagonalizable_maps():
             space = (np.eye(d, dtype=np.int64), list(range(d)))
             got = _split_space(space, R, P)
             want = split_oracle(space, R, P)
-            assert [p for _, p in got] == [p for _, p in want]
-            assert all((a == b).all() for (a, _), (b, _) in zip(got, want))
+            assert len(got) == len(want)
+            for piece, want_piece in zip(got, want):
+                assert_same_piece(piece, want_piece, P)
+
+
+def test_each_split_runs_one_elimination(build, monkeypatch):
+    from quadsym import chartab
+
+    calls = {"_rref_stack": 0, "_split_space": 0}
+
+    def counting(name):
+        original = getattr(chartab, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return original(*args, **kw)
+
+        monkeypatch.setattr(chartab, name, wrapper)
+
+    counting("_rref_stack")
+    counting("_split_space")
+    for label in ["sym:7", "dihedral:12*sym:4"]:
+        calls.update(_rref_stack=0, _split_space=0)
+        table_for(build, label, max_classes=64)
+        assert calls["_rref_stack"] == calls["_split_space"] > 0, (label, calls)
 
 
 def test_charpoly_matches_the_determinant_scan():
@@ -287,7 +328,7 @@ def test_charpoly_matches_the_determinant_scan():
         assert len(coeffs) == d + 1 and coeffs[-1] == 1
         values = [sum(c * pow(lam, k, P) for k, c in enumerate(coeffs)) % P for lam in range(P)]
         eye = np.eye(d, dtype=np.int64)
-        assert values == _det_stack(np.arange(P)[:, None, None] * eye - T, P).tolist(), (T, P)
+        assert values == det_stack(np.arange(P)[:, None, None] * eye - T, P).tolist(), (T, P)
     assert _charpoly(scalar, 101).tolist() == [c % 101 for c in (7**4, -4 * 7**3, 6 * 7**2, -4 * 7, 1)]
     assert _charpoly(jordan, 101).tolist() == [0] * 6 + [1]
 
@@ -392,7 +433,7 @@ def modular_det(rows, e, bound, label):
     T = CharacterTable(label, e, 0, tuple(range(m)), (1,) * m, tuple(map(tuple, rows)))
     primes = _primes(e, bound, label)
     E = _table_images(T, primes, np.arange(len(_units(e))))
-    s = np.array([_det_stack(images, P) for P, images in zip(primes, E)])
+    s = np.array([det_stack(images, P) for P, images in zip(primes, E)])
     return _lift(e, primes, [T.images[P][0][1] for P in primes], s), np.array(primes), s
 
 
@@ -856,7 +897,7 @@ def det_identities_oracle(G, S, split, T, D):
 
     coeffs, Q, primes, s = [0] * _basis(e).phi, 1, [], []
     for P, interp, images in images_oracle(T.entries, e, _det_bound(e, centralizers.tolist()), T.label):
-        s.append(_det_stack(images, P))
+        s.append(det_stack(images, P))
         residues = (interp @ s[-1] % P).tolist()
         t = pow(Q, -1, P)
         coeffs = [x + Q * ((r - x) * t % P) for x, r in zip(coeffs, residues)]
@@ -1039,7 +1080,7 @@ def test_library_pipeline_matches_the_benchmark_reference(build, label):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
-GOLDEN_LIBRARY = ["cyclic:11*sym:3", "dihedral:12*sym:4", "sl2:16"]
+GOLDEN_LIBRARY = ["cyclic:11*sym:3", "dihedral:12*sym:4", "sl2:16", "dihedral:100"]
 
 
 def golden_outputs(build, catalog, capsys):

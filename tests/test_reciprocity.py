@@ -238,6 +238,24 @@ def test_symbol_character_takes_one_parity_per_generator(build, monkeypatch):
         assert calls <= budget, (label, calls, budget)
 
 
+def test_verify_group_expands_the_discriminant_once(build, monkeypatch):
+    # the Kronecker checks run on d.value(), not on d's factored form
+    from quadsym.ntheory import FactoredInt
+
+    calls = 0
+    original = FactoredInt.mod
+
+    def counting(self, modulus):
+        nonlocal calls
+        calls += 1
+        return original(self, modulus)
+
+    monkeypatch.setattr(FactoredInt, "mod", counting)
+    b = build("sl2:16")
+    assert verify_group(b.G, b.S).ok
+    assert calls <= 4, calls
+
+
 def test_symbol_tables_of_large_groups_match_the_golden_hashes(capsys):
     import hashlib
     import json
