@@ -464,8 +464,13 @@ def _split_space(space, R, P):
     return [(s[:k], [pivots[f] for f in fs[:k]]) for s, fs, k in zip(sub, free.tolist(), nullity.tolist())]
 
 
-def _common_eigenvectors(Ns, P, label, seed):
-    m = len(Ns)
+def _common_eigenvectors(cls_pos, targets, P, label, seed):
+    """The common eigenvectors of the class matrices mod P, each scaled to
+    lead with 1.  Element x of class cls_pos[x] takes class k to class
+    targets[x, k], the class of x^-1 rep_k, so a random combination R of the
+    class matrices, R[t, k] = sum of r_i over the x in class i with
+    targets[x, k] = t, is one scatter over the (n, m) targets."""
+    m = targets.shape[1]
     for attempt in range(4):
         rng = _seeded_rng(seed, label, f"split:{attempt}")
         spaces = [(np.eye(m, dtype=np.int64), list(range(m)))]
@@ -473,7 +478,10 @@ def _common_eigenvectors(Ns, P, label, seed):
             for _ in range(60):
                 if all(len(b) == 1 for b, _ in spaces):
                     break
-                R = np.tensordot([rng.randrange(P) for _ in range(m)], Ns, 1) % P
+                r = np.array([rng.randrange(P) for _ in range(m)], dtype=np.int64)
+                R = np.zeros((m, m), dtype=np.int64)
+                np.add.at(R, (targets, np.arange(m)), r[cls_pos, None])
+                R %= P
                 refined = []
                 for space in spaces:
                     if len(space[0]) == 1:
@@ -568,21 +576,12 @@ def character_table(
 
     P = _choose_prime(e, n)
     cls_pos = np.array([pos[S.class_of[x]] for x in range(n)])
-    inverse = np.array(G.inverse)
-    Ns = np.zeros((m, m, m), dtype=np.int64)
-    for k in range(m):
-        targets = cls_pos[G.multiply_many(inverse, reps[k])]
-        np.add.at(Ns[:, :, k], (cls_pos, targets), 1)
-
-    raw = _common_eigenvectors(Ns, P, G.label, seed)
-    omegas = []
-    for v in raw:
-        if v[0] == 0:
-            raise CharTableError(
-                f"{G.label}: a central character vanishes on the identity class (P = {P})"
-            )
-        inv0 = pow(v[0], -1, P)
-        omegas.append([x * inv0 % P for x in v])
+    targets = cls_pos[G.multiply_many(np.array(G.inverse)[:, None], reps)]
+    omegas = _common_eigenvectors(cls_pos, targets, P, G.label, seed)
+    # each vector leads with 1, so it is the central character unless it is
+    # 0 at the identity class
+    if any(w[0] != 1 for w in omegas):
+        raise CharTableError(f"{G.label}: a central character vanishes on the identity class (P = {P})")
 
     size_inv = [pow(h, -1, P) for h in sizes]
     degrees = []
@@ -604,11 +603,8 @@ def character_table(
     inv_root_e = pow(primitive_root(P), -((P - 1) // e), P)
     inv_powers = np.array([pow(inv_root_e, t, P) for t in range(e)], dtype=np.int64)
     basis = _basis(e)
-    chi_mod = np.array(
-        [[deg * w[j] * size_inv[j] % P for j in range(m)] for w, deg in zip(omegas, degrees)],
-        dtype=np.int64,
-    )
     degs = np.array(degrees)
+    chi_mod = degs[:, None] * np.array(omegas) % P * size_inv % P
     coeffs = np.empty((m, m, basis.phi), dtype=np.int64)
     for j in range(m):
         # mu[i, k]: the multiplicity of w^(step * k) as an eigenvalue of
@@ -625,21 +621,16 @@ def character_table(
                 f"(P = {P})"
             )
         coeffs[:, j] = mu @ np.array([basis.pow_rows[step * t] for t in range(o)])
-    rows = [[CycInt(e, tuple(z)) for z in row] for row in coeffs.tolist()]
-
-    order_key = lambda pair: (
-        pair[0],
-        0 if all(z == 1 for z in pair[1]) else 1,
-        tuple(z.coeffs for z in pair[1]),
-    )
-    paired = sorted(zip(degrees, rows), key=order_key)
+    # by degree, the trivial character first, then by coefficients
+    trivial = (coeffs == basis.pow_rows[0]).all(axis=(1, 2))
+    order = sorted(range(m), key=lambda i: (degrees[i], not trivial[i], coeffs[i].tolist()))
     return CharacterTable(
         label=G.label,
         conductor=e,
         prime=P,
         class_order=tuple(cols),
-        degrees=tuple(d for d, _ in paired),
-        entries=tuple(tuple(r) for _, r in paired),
+        degrees=tuple(degrees[i] for i in order),
+        entries=tuple(tuple(CycInt(e, tuple(z)) for z in row) for row in coeffs[order].tolist()),
         chains=chains,
     )
 

@@ -81,15 +81,6 @@ class FactoredInt:
             v = v * pow(p, e, modulus) % modulus
         return v
 
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def is_one(self) -> bool:
-        return self.sign == 1 and not self.factors
-
-    def is_even(self) -> bool:
-        return self.sign == 0 or bool(self.factors) and self.factors[0][0] == 2
-
     def __mul__(self, other: "FactoredInt") -> "FactoredInt":
         if not isinstance(other, FactoredInt):
             return NotImplemented

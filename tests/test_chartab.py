@@ -308,6 +308,26 @@ def test_each_split_runs_one_elimination(build, monkeypatch):
         assert calls["_rref_stack"] == calls["_split_space"] > 0, (label, calls)
 
 
+def test_class_matrices_take_one_product(build, monkeypatch):
+    # the class targets x^-1 rep_k of every element and class come from one
+    # batched product; class_power_chains makes the others
+    for label in ["sym:7", "dihedral:12*sym:4"]:
+        b = build(label)
+        calls = 0
+        multiply_many = b.G.multiply_many
+
+        def counting(I, J):
+            nonlocal calls
+            calls += 1
+            return multiply_many(I, J)
+
+        monkeypatch.setattr(b.G, "multiply_many", counting)
+        class_power_chains(b.G, b.S)
+        chains_calls, calls = calls, 0
+        character_table(b.G, b.S, b.split, max_classes=64)
+        assert calls == chains_calls + 1, (label, calls, chains_calls)
+
+
 def test_charpoly_matches_the_determinant_scan():
     # the oracle: det(lam - T) at every lam in F_P, one batched elimination
     rng = np.random.default_rng(41)
@@ -342,11 +362,14 @@ def test_splitting_failures_raise():
             _split_space(plane, np.array(R) % P, P)
     with pytest.raises(CharTableError, match="not invariant"):
         _restrict(np.array([[0, 1], [1, 0]]), np.array([[1, 0]]), [0], P)
-    # the identity and a nilpotent matrix: every combination with a nonzero
-    # nilpotent part fails to split
-    Ns = np.stack([np.eye(2, dtype=np.int64), np.eye(2, k=1, dtype=np.int64)])
-    with pytest.raises(CharTableError, match=r"g: eigenspace splitting did not converge in 4 attempts \(P = 7\)"):
-        _common_eigenvectors(Ns, P, "g", 0)
+    # the class data of cyclic:3: its central characters take the values of
+    # the cube roots of unity, and x^2 + x + 1 has no root mod 5, so every
+    # split fails until the attempts run out; mod 7 it splits
+    cls_pos, targets = np.arange(3), np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    with pytest.raises(CharTableError, match=r"g: eigenspace splitting did not converge in 4 attempts \(P = 5\)"):
+        _common_eigenvectors(cls_pos, targets, 5, "g", 0)
+    vecs = _common_eigenvectors(cls_pos, targets, P, "g", 0)
+    assert sorted(vecs) == [[1, 1, 1], [1, 2, 4], [1, 4, 2]]
 
 
 def test_cycint_basics():

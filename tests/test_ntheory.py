@@ -82,9 +82,6 @@ def test_factored_int_arithmetic():
         assert (fa**k).value() == a**k
         m = rng.randrange(1, 1000)
         assert fa.mod(m) == a % m
-    assert factorize(12).is_even()
-    assert not factorize(15).is_even()
-    assert FactoredInt(1, ()).is_one()
     assert str(factorize(-12)) == "-2^2 * 3"
 
 
