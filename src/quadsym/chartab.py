@@ -451,13 +451,14 @@ def _split_space(space, R, P):
     nullity = d - has.sum(axis=1)
     if nullity.sum() != d:
         raise CharTableError("class matrices were not simultaneously diagonalizable")
-    # Z puts the row with the pivot in column j at row j, so the null vector
-    # of a free column f is e_f - Z[:, f], row f of I - Z^T, and the row of a
-    # pivot column is 0; taking the free rows first pads each null basis with
-    # zero rows
-    Z = np.take_along_axis(shifted, np.maximum(has.cumsum(axis=1) - 1, 0)[:, :, None], axis=1)
+    # Z[:, j, t] is entry free[t] of the row with the pivot in column j (0
+    # when j has none), so the null vector of the free column f = free[t] is
+    # e_f - Z[:, t]; taking the free columns first pads each null basis with
+    # pivot columns, whose vectors are 0
     free = np.argsort(has, axis=1, kind="stable")[:, : nullity.max()]
-    null = np.take_along_axis((eye - Z * has[:, :, None]).swapaxes(1, 2) % P, free[:, :, None], axis=1)
+    pivot_row = np.maximum(has.cumsum(axis=1) - 1, 0)
+    Z = shifted[np.arange(len(has))[:, None, None], pivot_row[:, :, None], free[:, None, :]] * has[:, :, None]
+    null = (eye[free] - Z.swapaxes(1, 2)) % P
     # null has the identity at the free columns and basis at ``pivots``, so
     # null @ basis has it at pivots[f] for the free columns f
     sub = null @ basis % P
@@ -469,34 +470,29 @@ def _common_eigenvectors(cls_pos, targets, P, label, seed):
     lead with 1.  Element x of class cls_pos[x] takes class k to class
     targets[x, k], the class of x^-1 rep_k, so a random combination R of the
     class matrices, R[t, k] = sum of r_i over the x in class i with
-    targets[x, k] = t, is one scatter over the (n, m) targets."""
+    targets[x, k] = t, is one scatter over the (n, m) targets.  The
+    combinations come from one seeded stream, and valid class data splits
+    into lines within a few, so a failed split or 60 combinations raise."""
     m = targets.shape[1]
-    for attempt in range(4):
-        rng = _seeded_rng(seed, label, f"split:{attempt}")
-        spaces = [(np.eye(m, dtype=np.int64), list(range(m)))]
-        try:
-            for _ in range(60):
-                if all(len(b) == 1 for b, _ in spaces):
-                    break
-                r = np.array([rng.randrange(P) for _ in range(m)], dtype=np.int64)
-                R = np.zeros((m, m), dtype=np.int64)
-                np.add.at(R, (targets, np.arange(m)), r[cls_pos, None])
-                R %= P
-                refined = []
-                for space in spaces:
-                    if len(space[0]) == 1:
-                        refined.append(space)
-                    else:
-                        refined.extend(_split_space(space, R, P))
-                spaces = refined
-        except CharTableError:
-            continue
-        if all(len(b) == 1 for b, _ in spaces):
-            # each line's vector scaled to lead with 1: its reduced echelon row
-            vecs = [(v * pow(int(v[v != 0][0]), -1, P) % P).tolist() for v in (b[0] for b, _ in spaces)]
-            if len({tuple(v) for v in vecs}) == m:
-                return vecs
-    raise CharTableError(f"{label}: eigenspace splitting did not converge in 4 attempts (P = {P})")
+    rng = _seeded_rng(seed, label, "split:0")
+    spaces = [(np.eye(m, dtype=np.int64), list(range(m)))]
+    try:
+        for _ in range(60):
+            if all(len(b) == 1 for b, _ in spaces):
+                break
+            r = np.array([rng.randrange(P) for _ in range(m)], dtype=np.int64)
+            R = np.zeros((m, m), dtype=np.int64)
+            np.add.at(R, (targets, np.arange(m)), r[cls_pos, None])
+            R %= P
+            spaces = [piece for sp in spaces for piece in (_split_space(sp, R, P) if len(sp[0]) > 1 else [sp])]
+    except CharTableError as exc:
+        raise CharTableError(f"{label}: {exc} (P = {P})") from exc
+    if all(len(b) == 1 for b, _ in spaces):
+        # each line's vector scaled to lead with 1: its reduced echelon row
+        vecs = [(v * pow(int(v[v != 0][0]), -1, P) % P).tolist() for v in (b[0] for b, _ in spaces)]
+        if len({tuple(v) for v in vecs}) == m:
+            return vecs
+    raise CharTableError(f"{label}: eigenspace splitting did not converge in 60 combinations (P = {P})")
 
 
 def _choose_prime(e: int, n: int) -> int:
@@ -654,24 +650,29 @@ def _table_images(T: CharacterTable, primes: Sequence[int], units: np.ndarray) -
     return np.array(out, dtype=np.int64).reshape(len(out), len(units), m, m)
 
 
-def _chains(G: GroupTable, S: ClassSet, T: CharacterTable) -> PowerChains:
-    return T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
+def _column_witness(G: GroupTable, S: ClassSet, T: CharacterTable, tests: Sequence[int]):
+    """The first (a, i, j), a in ``tests``, where z -> z^a does not move
+    chi_ij to column chains.at(a)[j], or None.  Decided exactly on the images
+    at every unit of the first primes, whose product exceeds twice (C_e + 1)
+    max |chi|_1, a bound on sigma_a(chi_ij) - chi_ik."""
+    e = T.conductor
+    chains = T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
+    primes = _primes(e, (_basis(e).root_norm + 1) * T.norms.max(), T.label)
+    E = _table_images(T, primes, np.arange(len(_units(e))))
+    for a in tests:
+        moved = np.argwhere((E[:, _unit_perm(e, a)] != E[..., chains.at(a)]).any(axis=(0, 1)))
+        if moved.size:
+            return (a, *moved[0].tolist())
 
 
 def _at_few_units(check, G: GroupTable, S: ClassSet, T: CharacterTable):
     """check(every=False) if z -> z^g moves column j to column
-    chains.at(g)[j] at each generator g of (Z/e)^x, and that neither raises
-    CharTableError nor reports a failure; else check(every=True), which
-    gives every report.  The Galois action is decided exactly, once per
-    table, on the images at every unit of the first primes, whose product
-    exceeds twice (C_e + 1) max |chi|_1, a bound on sigma_g(chi_ij) - chi_ik."""
+    chains.at(g)[j] at each generator g of (Z/e)^x (decided once per table
+    by _column_witness), and that neither raises CharTableError nor reports a
+    failure; else check(every=True), which gives every report."""
     try:
         if not T.galois:
-            e, chains = T.conductor, _chains(G, S, T)
-            primes = _primes(e, (_basis(e).root_norm + 1) * T.norms.max(), T.label)
-            E = _table_images(T, primes, np.arange(len(_units(e))))
-            moves = ((E[:, _unit_perm(e, g)] == E[..., chains.at(g)]).all() for g in unit_generators(e))
-            T.galois.append(all(moves))
+            T.galois.append(_column_witness(G, S, T, unit_generators(T.conductor)) is None)
         if T.galois[0]:
             report = check(every=False)
             if report is None or report.ok:
@@ -769,10 +770,8 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
     e, m = T.conductor, T.m
     checked = np.arange(len(_units(e)) if every else 1)  # index 0 is u = 1
     centralizers = np.array([G.n // S.classes[j].size for j in T.class_order])
-    # a column norm minus c_j has coefficients below C_e * sum_i |chi_ij|_1^2
-    # + n, and sigma_a(chi_ij) - chi_ik below 2 * C_e * max |chi|_1
-    C, norms = _basis(e).root_norm, T.norms
-    col_bound = int(max(C * norms.max(), C * (norms * norms).sum(axis=0).max() + G.n))
+    # a column norm minus c_j has coefficients below C_e * sum_i |chi_ij|_1^2 + n
+    col_bound = int(_basis(e).root_norm * (T.norms * T.norms).sum(axis=0).max() + G.n)
     primes = _primes(e, col_bound, T.label)
     E = _table_images(T, primes, checked)
     P = np.array(primes)[:, None, None]
@@ -787,7 +786,6 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
             f"bound on det does not hold (P = {P[bad[..., j].any(axis=1).argmax(), 0, 0]})"
         )
 
-    chains = _chains(G, S, T)
     sym = symbol_character(G, S)
     tests = _units(e) if every else unit_generators(e)
     det_primes = np.array(_primes(e, _det_bound(e, centralizers.tolist()), T.label))
@@ -817,13 +815,11 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
     conj_ok = scales_det(-1)
     checks.append(_check("conjugate_det", conj_ok, f"conj(det) != ({sym(-1)}) * det"))
 
+    moved = _column_witness(G, S, T, tests) if every else None  # else the columns permute
     galois_witness = column_witness = None
     for a in tests:
-        moved = _table_images(T, primes, _unit_perm(e, a)[checked]) != E[..., chains.at(a)]
-        moved = moved.any(axis=(0, 1))
-        if moved.any():
-            i, j = np.argwhere(moved)[0]
-            column_witness = f"a = {a}, row {i}, column {j}"
+        if moved and moved[0] == a:
+            column_witness = "a = {}, row {}, column {}".format(*moved)
         if not scales_det(a):
             galois_witness = f"a = {a}, symbol {sym(a)}"
         if galois_witness or column_witness:

@@ -308,6 +308,23 @@ def test_each_split_runs_one_elimination(build, monkeypatch):
         assert calls["_rref_stack"] == calls["_split_space"] > 0, (label, calls)
 
 
+def test_split_holds_one_stack(build):
+    # the null vectors are gathered at the free columns of the reduced stack
+    # (up to 48 matrices 48 x 48 at cyclic:48's first split, 0.84 MB of
+    # int64), not read from (r, d, d) copies of it
+    import tracemalloc
+
+    b = build("cyclic:48")
+    character_table(b.G, b.S, b.split, max_classes=b.S.m)  # fills the caches
+    tracemalloc.start()
+    try:
+        character_table(b.G, b.S, b.split, max_classes=b.S.m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 def test_class_matrices_take_one_product(build, monkeypatch):
     # the class targets x^-1 rep_k of every element and class come from one
     # batched product; class_power_chains makes the others
@@ -363,13 +380,18 @@ def test_splitting_failures_raise():
     with pytest.raises(CharTableError, match="not invariant"):
         _restrict(np.array([[0, 1], [1, 0]]), np.array([[1, 0]]), [0], P)
     # the class data of cyclic:3: its central characters take the values of
-    # the cube roots of unity, and x^2 + x + 1 has no root mod 5, so every
-    # split fails until the attempts run out; mod 7 it splits
+    # the cube roots of unity, and x^2 + x + 1 has no root mod 5, so the
+    # first split fails; mod 7 it splits
     cls_pos, targets = np.arange(3), np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    with pytest.raises(CharTableError, match=r"g: eigenspace splitting did not converge in 4 attempts \(P = 5\)"):
+    with pytest.raises(CharTableError, match=r"^g: class matrices were not simultaneously diagonalizable \(P = 5\)$"):
         _common_eigenvectors(cls_pos, targets, 5, "g", 0)
     vecs = _common_eigenvectors(cls_pos, targets, P, "g", 0)
     assert sorted(vecs) == [[1, 1, 1], [1, 2, 4], [1, 4, 2]]
+    # both classes act as the identity, so every combination is scalar and
+    # nothing splits
+    message = r"^g: eigenspace splitting did not converge in 60 combinations \(P = 7\)$"
+    with pytest.raises(CharTableError, match=message):
+        _common_eigenvectors(np.arange(2), np.array([[0, 1], [0, 1]]), P, "g", 0)
 
 
 def test_cycint_basics():
