@@ -8,12 +8,14 @@ stable across runs, and everything downstream works on indices 0..n-1.
 Each element also has a row: its encoding flattened to integers, stored in
 the n x w array ``GroupTable.rows``.  A family's product maps two arrays of
 rows, shapes (..., w) broadcast together, to one: modular addition, a twisted
-sum (dihedral, quaternion), a gather of permutation images or of GF(2^r)
-products, or both halves of a row for a direct product.  ``multiply_many``
-looks the product rows up exactly among the stored rows (by their bytes, in
-an open-addressing hash table), so orders, classes, power maps and the axiom
-check multiply whole index arrays at once; the closure multiplies a whole
-level of rows at once.
+sum (dihedral, quaternion), a gather of permutation images or of one GF(2^r)
+a c + b d per SL(2) entry, or both halves of a row for a direct product.
+``multiply_many`` gathers each side's rows in its own shape, the product
+broadcasts them a block of the leading axis at a time, and each product row
+is looked up exactly among the stored rows by a key read in place from its
+bytes, in an open-addressing hash table.  So orders, classes, power maps and
+the axiom check multiply whole index arrays at once, and the closure a whole
+level of rows.
 
 ``class_power_chains`` tabulates the class power map at every exponent in one
 array, for chartab alone; ``class_power_map`` answers one exponent.
@@ -75,14 +77,19 @@ def _flat(enc: object) -> tuple[int, ...]:
 
 def _keys(rows: np.ndarray, dtype) -> np.ndarray:
     """One opaque key per row of a (..., w) array, equal exactly when the rows
-    are: the row's bytes, read as one int64 when they fit in eight."""
+    are: up to 8 bytes read in place as one integer or as 4-, 2- and 1-byte
+    parts shifted apart in an int64, a longer row as its bytes."""
     rows = np.ascontiguousarray(rows, dtype)
     size = rows.itemsize * rows.shape[-1]
     if size > 8:
         return rows.view(np.dtype((np.void, size)))[..., 0]
-    word = np.zeros(rows.shape[:-1] + (8,), np.uint8)
-    word[..., :size] = rows.view(np.uint8)
-    return word.view(np.int64)[..., 0]
+    raw, key, at = rows.view(np.uint8), None, 0
+    for part in (8, 4, 2, 1):
+        if at + part <= size:
+            word = raw[..., at : at + part].view(f"u{part}")[..., 0]
+            key = word if key is None else key | word.astype(np.int64) << 8 * at
+            at += part
+    return key
 
 
 # 2^64 / golden ratio, odd: Fibonacci hashing keeps the top bits of key * _FIB
@@ -91,13 +98,12 @@ _FIB = np.uint64(0x9E3779B97F4A7C15)
 
 def _hash(keys: np.ndarray, bits: int) -> np.ndarray:
     """Slots 0..2^bits-1 for a 1-d array of keys (Knuth, TAOCP vol. 3, 6.4); a
-    void key folds its 8-byte words into one first."""
+    void key folds its words of up to 8 bytes into one first."""
     if keys.dtype.kind == "V":
-        size = keys.dtype.itemsize
-        raw = keys.view(np.uint8).reshape(len(keys), size)
-        words = [_keys(raw[:, i : i + 8], np.uint8).view(np.uint64) for i in range(0, size, 8)]
-        keys = functools.reduce(lambda h, word: h * _FIB + word, words)
-    h = keys.view(np.uint64) * _FIB
+        raw = keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize)
+        words = (_keys(raw[:, i : i + 8], np.uint8) for i in range(0, raw.shape[1], 8))
+        keys = functools.reduce(lambda h, w: h * _FIB + w.view(f"u{w.itemsize}"), words, np.uint64(0))
+    h = keys.view(f"u{keys.itemsize}") * _FIB
     h >>= np.uint64(64 - bits)
     return h.view(np.intp)
 
@@ -145,10 +151,10 @@ class GroupTable:
         self._init_orders()
 
     def _init_slots(self, label: str) -> None:
-        # linear probing in 2^bits >= 4n slots, each -1 or an element index;
+        # linear probing in 2^bits >= 8n slots, each -1 or an element index;
         # every pending row tries its slot, one claimant of each free slot wins
         self._key = _keys(self.rows, self.rows.dtype)
-        self._bits = (4 * self.n - 1).bit_length()
+        self._bits = (8 * self.n - 1).bit_length()
         self._slots = np.full(1 << self._bits, -1, np.int16 if self.n < 2**15 else np.intp)
         todo, h = np.arange(self.n), _hash(self._key, self._bits)
         while todo.size:
@@ -167,30 +173,34 @@ class GroupTable:
         keys = _keys(rows, self.rows.dtype)
         shape, keys = keys.shape, keys.ravel()
         h = _hash(keys, self._bits)
-        found = self._slots[h]
+        found = self._slots.take(h)
         # an empty slot gathers the last element's key, which the probe for
         # that key meets at its own slot before any empty one
-        todo = np.flatnonzero(self._key[found] != keys)
+        todo = np.flatnonzero(self._key.take(found) != keys)
         h, miss = h[todo], np.zeros(len(keys), bool)
         while todo.size:
             live = found[todo] >= 0
             miss[todo[~live]] = True
             todo, h = todo[live], (h[live] + 1) & (len(self._slots) - 1)
-            found[todo] = self._slots[h]
-            again = self._key[found[todo]] != keys[todo]
+            found[todo] = self._slots.take(h)
+            again = self._key.take(found[todo]) != keys[todo]
             todo, h = todo[again], h[again]
         return found.reshape(shape), miss.reshape(shape)
 
     def multiply_many(self, I, J) -> np.ndarray:
         """Indices of the products I * J, elementwise over the broadcast index
-        arrays; a large batch goes through the product a block at a time."""
+        arrays, from each side's rows in its own shape; a large batch goes a
+        block of the leading axis at a time, cutting the sides that span it."""
         I, J = np.asarray(I), np.asarray(J)
-        width = self.rows.shape[1]
-        if np.broadcast(I, J).size * width <= _BLOCK_VALUES:
+        shape = np.broadcast(I, J).shape
+        values = math.prod(shape) * self.rows.shape[1]
+        if values <= _BLOCK_VALUES:
             return self._multiply(I, J)
-        I, J = np.broadcast_arrays(I, J)
-        step = max(1, _BLOCK_VALUES * len(I) // (I.size * width))
-        return np.concatenate([self._multiply(I[s : s + step], J[s : s + step]) for s in range(0, len(I), step)])
+        step, out = max(1, _BLOCK_VALUES * shape[0] // values), np.empty(shape, self._slots.dtype)
+        for s in range(0, shape[0], step):
+            cut = (X[s : s + step] if X.ndim == len(shape) and len(X) > 1 else X for X in (I, J))
+            out[s : s + step] = self._multiply(*cut)
+        return out
 
     def _multiply(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         found, miss = self._locate(self._mul(self.rows.take(I, axis=0), self.rows.take(J, axis=0)))
@@ -361,19 +371,18 @@ class _GF2Field:
 
 def _build_sl2(q: int):
     field = _GF2Field(q.bit_length() - 1)
-    fm, r = field.mul.ravel(), field.r
+    fm, r = field.mul, field.r
+    # dot[(a << 3r) | (b << 2r) | (c << r) | d] is the field's a * c + b * d
+    dot = (fm[:, None, :, None] ^ fm[None, :, None, :]).ravel()
 
     def mul(x, y):
-        # entry (i, j) of x @ y (row-major a b / c d) is x_i0 y_0j + x_i1 y_1j,
-        # and fm[(s << r) | t] is the field product s * t
-        x = x.astype(np.int16)
-        x <<= r
-        entries = [
-            fm.take(x[..., i] | y[..., j]) ^ fm.take(x[..., i + 1] | y[..., j + 2])
-            for i in (0, 2)
-            for j in (0, 1)
-        ]
-        return np.stack(entries, axis=-1)
+        # entry (i, j) of x @ y (row-major a b / c d) is x_i0 y_0j + x_i1 y_1j:
+        # one lookup per entry, at x's row i and y's column j packed together
+        x, y = x.view(np.uint8), y.view(np.uint8)
+        shift = functools.partial(np.left_shift, dtype=np.uint16)
+        rows = [shift(x[..., i], 3 * r) | shift(x[..., i + 1], 2 * r) for i in (0, 2)]
+        cols = [shift(y[..., j], r) | y[..., j + 2] for j in (0, 1)]
+        return np.stack([dot.take(u | v) for u in rows for v in cols], axis=-1)
 
     # a transvection, the Weyl element and a generator of the diagonal torus
     gen = 0b10
@@ -621,6 +630,18 @@ def permutation_parity(p: Sequence[int]) -> int:
 # axiom verification
 
 
+def _permutation_rows(t: np.ndarray) -> np.ndarray:
+    """Whether each row of a (k, n) array of indices 0..n-1 is a permutation,
+    by marking seen[i, t[i, j]] a block of rows at a time in one buffer."""
+    k, n = t.shape
+    seen, step = np.zeros((k, n), bool), min(k, max(1, _BLOCK_VALUES // n))
+    at = np.empty((step, n), np.intp)
+    for s in range(0, k, step):
+        np.add(t[s : s + step], n * np.arange(s, min(s + step, k))[:, None], out=at[: k - s])
+        seen.reshape(-1)[at[: k - s]] = True
+    return seen.all(axis=1)
+
+
 def verify_axioms(G: GroupTable, seed: int = 0) -> None:
     """Check the group laws on the realized group; raise GroupError on failure.
 
@@ -650,10 +671,7 @@ def verify_axioms(G: GroupTable, seed: int = 0) -> None:
 
     if n <= _EXHAUSTIVE_LIMIT:
         t = G.multiply_many(every[:, None], every).astype(np.int16, copy=False)
-        if not (
-            (np.sort(t, axis=1, kind="stable") == every).all()
-            and (np.sort(t, axis=0, kind="stable") == every[:, None]).all()
-        ):
+        if not (_permutation_rows(t).all() and _permutation_rows(t.T).all()):
             raise GroupError(f"{G.label!r}: multiplication table is not a Latin square")
         right = t[:, list(G.generators)]
         reached = every == e
@@ -661,23 +679,25 @@ def verify_axioms(G: GroupTable, seed: int = 0) -> None:
             reached[right[reached]] = True
         if not reached.all():
             raise GroupError(f"{G.label!r}: generators reach only {reached.sum()} of {n} elements")
+        blocks = [slice(s, s + _BLOCK_VALUES // n) for s in range(0, n, _BLOCK_VALUES // n)]
         for g in G.generators:
-            if not np.array_equal(t[t[:, g]], t[:, t[g]]):
+            if not all(np.array_equal(t[t[x, g]], t[x, t[g]]) for x in blocks):
                 raise GroupError(f"{G.label!r}: associativity fails with generator {g}")
         return
     rng = _seeded_rng(seed, G.label, "latin")
     lines = np.array(sorted(rng.sample(range(n), min(n, 48))))
-    failed = np.stack([
-        (np.sort(G.multiply_many(lines[:, None], every), axis=1, kind="stable") != every).any(axis=1),
-        (np.sort(G.multiply_many(every, lines[:, None]), axis=1, kind="stable") != every).any(axis=1),
-    ])
+    pairs = ((lines[:, None], every), (every, lines[:, None]))  # rows, then columns
+    failed = ~np.stack([_permutation_rows(G.multiply_many(*pair)) for pair in pairs])
     if failed.any():
         k = int(failed.any(axis=0).argmax())
         what = ("row", "column")[int(failed[:, k].argmax())]
         raise GroupError(f"{G.label!r}: {what} {lines[k]} is not a permutation")
-    # three draws of 32 bits per triple, uniform on 0..n-1 up to a bias below n / 2**32
+    # three draws of 32 bits per triple, uniform on 0..n-1 up to a bias below n / 2**32:
+    # the words of one stream, a third at a time, reduced into the products' index type
     rng = _seeded_rng(seed, G.label, "assoc")
-    a, b, c = (np.frombuffer(rng.randbytes(12 * 100_000), dtype="<u4") % n).reshape(3, -1)
+    a, b, c = abc = np.empty((3, 100_000), G._slots.dtype)
+    for row in abc:
+        np.remainder(np.frombuffer(rng.randbytes(4 * len(row)), dtype="<u4"), n, out=row, casting="unsafe")
     failed = G.multiply_many(G.multiply_many(a, b), c) != G.multiply_many(a, G.multiply_many(b, c))
     if failed.any():
         k = int(failed.argmax())

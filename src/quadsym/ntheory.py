@@ -231,6 +231,22 @@ def kronecker(d: int | FactoredInt, a: int) -> int:
     return result * jacobi(d % a, a)
 
 
+def kronecker_table(d: int | FactoredInt, n: int) -> list[int]:
+    """(d|a) for 0 <= a < n, calling ``kronecker`` at 0, 1 and the primes
+    below n only: the symbol is completely multiplicative in a, so any other
+    a takes the product of the values at its smallest prime factor p and at
+    a / p, both already in the table."""
+    least = list(range(n))
+    # every p from the top down marks its multiples from p^2 on, so the
+    # smallest divisor of each composite is the one left
+    for p in range(math.isqrt(max(n - 1, 0)), 1, -1):
+        least[p * p :: p] = [p] * len(range(p * p, n, p))
+    table: list[int] = []
+    for a, p in enumerate(least):
+        table.append(kronecker(d, a) if p == a else table[p] * table[a // p])
+    return table
+
+
 def n_star(n: int) -> int:
     """(-1)^((n-1)/2) * n: the discriminant-normalized twist of an odd n."""
     if n % 2 == 0:

@@ -28,6 +28,7 @@ from .ntheory import (
     fundamental_discriminant,
     is_perfect_square,
     kronecker,
+    kronecker_table,
     n_star,
     unit_generators,
 )
@@ -163,8 +164,11 @@ def verify_group(G: GroupTable, S: Optional[ClassSet] = None) -> VerificationRep
         _check("discriminant_mod_4", d.mod(4) in (0, 1), f"d = {d} = {d.mod(4)} mod 4")
     )
 
-    tried = (*range(n), -1, -3, n + 1, 2 * n + 3)
-    bad = next((a for a in tried if sym(a) != kronecker(dv, a)), None)
+    # (d|a) at every residue from one table, and at a few integers outside 0..n-1
+    extra = (-1, -3, n + 1, 2 * n + 3)
+    got = zip((*range(n), *extra), (*sym.values, *map(sym, extra)))
+    want = kronecker_table(dv, n) + [kronecker(dv, a) for a in extra]
+    bad = next((a for (a, s), k in zip(got, want) if s != k), None)
     checks.append(
         _check(
             "symbol_equals_kronecker",

@@ -1,11 +1,13 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from quadsym.cli import default_catalog
 from quadsym.groups import (
+    _BLOCK_VALUES,
     GroupError,
     GroupTable,
     OrderCapExceeded,
@@ -15,6 +17,8 @@ from quadsym.groups import (
     direct_product,
     make_group,
     permutation_parity,
+    _keys,
+    _permutation_rows,
     verify_axioms,
 )
 from quadsym.groupspec import parse_group_spec
@@ -112,10 +116,97 @@ def test_verify_axioms_rejects_non_groups():
     assert big.n == 600
     with pytest.raises(GroupError, match="associativity"):
         verify_axioms(big)
+    # rows (0, c) pass Light's test; they fill its first block of 64 rows
+    with pytest.raises(GroupError, match="associativity fails with generator"):
+        verify_axioms(direct_product(loop, group("cyclic:170")))
     # a group whose generators do not generate it
     c6 = GroupTable("c6", range(6), lambda a, b: (a + b) % 6, 0, [2])
     with pytest.raises(GroupError, match="generators"):
         verify_axioms(c6)
+
+
+def _not_latin(label, transpose=False):
+    # 0 is the identity and x*x = 0 for every x, so every identity, inverse
+    # and order check passes; row x of the table (or, transposed, column x)
+    # repeats x for each x != 0, while the other lines are permutations
+    table = np.array([[0, 1, 2, 3], [1, 0, 1, 1], [2, 2, 0, 2], [3, 3, 3, 0]])
+    table = table.T if transpose else table
+    return GroupTable(label, range(4), lambda a, b: table[a, b], 0, [1, 2, 3])
+
+
+def test_verify_axioms_rejects_a_table_that_is_not_a_latin_square():
+    for transpose in (False, True):
+        with pytest.raises(GroupError, match="^'m4': multiplication table is not a Latin square$"):
+            verify_axioms(_not_latin("m4", transpose))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_axioms_names_the_first_sampled_line_that_is_not_a_permutation(seed):
+    # times cyclic:300 (n = 1200, the sampled path): element i is
+    # (i // 300, i % 300), so line i is a permutation exactly when i < 300
+    for transpose, what in ((False, "row"), (True, "column")):
+        G = direct_product(_not_latin("m4", transpose), group("cyclic:300"))
+        assert G.n == 1200
+        lines = sorted(random.Random(f"{seed}:m4*cyclic:300:latin").sample(range(G.n), 48))
+        first = next(i for i in lines if i >= 300)
+        message = f"'m4*cyclic:300': {what} {first} is not a permutation"
+        with pytest.raises(GroupError, match=f"^{re.escape(message)}$"):
+            verify_axioms(G, seed=seed)
+
+
+def test_permutation_rows_across_blocks():
+    # 100 lines of 1000 entries take two blocks; break one line in each
+    rng = np.random.default_rng(3)
+    t = np.array([rng.permutation(1000) for _ in range(100)], dtype=np.int16)
+    t[10, 5], t[80, 7] = t[10, 6], t[80, 0]
+    assert _permutation_rows(t).tolist() == [k not in (10, 80) for k in range(100)]
+
+
+@pytest.mark.parametrize("text", ["sym:6", "sl2:16", "dihedral:70*cyclic:3", "sym:5*sym:4"])
+def test_multiply_many_across_broadcast_shapes_and_blocks(text):
+    # int8 rows with 6-byte keys, 4-byte keys, int16 rows, 9-byte void keys
+    G = group(text)
+    n, w = G.rows.shape
+    rng = np.random.default_rng(1)
+    # k rows of n products cross _BLOCK_VALUES, and leave a short last block
+    k = _BLOCK_VALUES // (n * w) + 2
+    assert k * n * w > _BLOCK_VALUES and (k * n * w) % _BLOCK_VALUES
+    col, every = rng.integers(0, n, (k, 1)), np.arange(n)
+    m = 3 * _BLOCK_VALUES // w + 5
+    I, J = rng.integers(0, n, m), rng.integers(0, n, m)
+    x = int(rng.integers(n))
+    cases = [(col, every), (every, col), (every[None], col), (x, every), (every, x), (I, J)]
+    if n * n * w <= 40 * _BLOCK_VALUES:
+        cases.append((every[:, None], every))
+    for A, B in cases:
+        got = G.multiply_many(A, B)
+        A, B = np.broadcast_arrays(A, B)
+        assert got.shape == A.shape and got.dtype == np.int16, text
+        # the same products in 1-d pieces of at most a block each
+        parts = -(-A.size * w // _BLOCK_VALUES)
+        pieces = zip(np.array_split(A.ravel(), parts), np.array_split(B.ravel(), parts))
+        assert np.array_equal(got.ravel(), np.concatenate([G._multiply(a, b) for a, b in pieces])), text
+        for t in rng.integers(0, A.size, 200):
+            assert got.flat[t] == G.multiply(int(A.flat[t]), int(B.flat[t])), text
+    assert G.multiply_many(np.arange(0), np.arange(0)).shape == (0,)
+    assert G.multiply_many(np.zeros((0, 1), int), every).shape == (0, n)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+def test_keys_are_equal_exactly_when_rows_are(dtype):
+    rng = np.random.default_rng(5)
+    size = np.dtype(dtype).itemsize
+    for w in range(1, 10 // size + 1):
+        # small values make equal rows likely; copies force more of them
+        rows = rng.integers(-2, 3, (3, 200, w)).astype(dtype)
+        rows[:, 100:150] = rows[:, :50]
+        rows[2] = rows[0]
+        flat, keys = rows.reshape(-1, w), _keys(rows, dtype).ravel()
+        same_rows = (flat[:, None] == flat[None]).all(axis=-1)
+        assert np.array_equal(keys[:, None] == keys[None], same_rows), (dtype, w)
+        # a row's key does not depend on the array it sits in
+        assert np.array_equal(_keys(flat[::-1], dtype), keys[::-1]), (dtype, w)
+        assert all(_keys(row, dtype) == key for row, key in zip(flat[:5], keys)), (dtype, w)
 
 
 def test_order_cap():

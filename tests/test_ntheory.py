@@ -13,6 +13,7 @@ from quadsym.ntheory import (
     is_prime,
     jacobi,
     kronecker,
+    kronecker_table,
     n_star,
     primitive_root,
     unit_generators,
@@ -289,3 +290,18 @@ def test_unit_generators_generate_the_units():
         assert subgroup(gens, e) == units, e
     # (Z/2^k)^x is trivial, then cyclic of order 2, then {+-1} x <5>
     assert [unit_generators(e) for e in (1, 2, 4, 8, 16)] == [(), (), (3,), (7, 5), (15, 5)]
+
+
+def test_kronecker_table_matches_kronecker(build, catalog):
+    # every catalog group's d, at every residue of its order and past it
+    for label in catalog:
+        b = build(label)
+        d, n = b.D.value.value(), b.G.n + 40
+        assert kronecker_table(d, n) == [kronecker(d, a) for a in range(n)], label
+    rng = random.Random(11)
+    for size in [10**3] * 100 + [10**30] * 30:
+        d = 4 * rng.randrange(-size, size) + rng.choice((0, 1)) or 1
+        n = rng.randrange(0, 1500)
+        assert kronecker_table(d, n) == [kronecker(d, a) for a in range(n)], (d, n)
+    with pytest.raises(ValueError, match="not a discriminant"):
+        kronecker_table(7, 10)
