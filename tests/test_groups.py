@@ -154,6 +154,13 @@ def test_verify_axioms_names_the_first_sampled_line_that_is_not_a_permutation(se
             verify_axioms(G, seed=seed)
 
 
+def test_sampled_triples_are_the_words_of_one_draw():
+    # verify_axioms draws its 3 x 100 000 words a third at a time: the same
+    # words as one randbytes call, so the seeded triples are unchanged
+    one, thirds = random.Random("7:sl2:16:assoc"), random.Random("7:sl2:16:assoc")
+    assert b"".join(thirds.randbytes(400_000) for _ in range(3)) == one.randbytes(1_200_000)
+
+
 def test_permutation_rows_across_blocks():
     # 100 lines of 1000 entries take two blocks; break one line in each
     rng = np.random.default_rng(3)
