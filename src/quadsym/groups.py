@@ -10,12 +10,10 @@ the n x w array ``GroupTable.rows``.  A family's product maps two arrays of
 rows, shapes (..., w) broadcast together, to one: modular addition, a twisted
 sum (dihedral, quaternion), a gather of permutation images or of one GF(2^r)
 a c + b d per SL(2) entry, or both halves of a row for a direct product.
-``multiply_many`` gathers each side's rows in its own shape, the product
-broadcasts them a block of the leading axis at a time, and each product row
-is looked up exactly among the stored rows by a key read in place from its
-bytes, in an open-addressing hash table.  So orders, classes, power maps and
-the axiom check multiply whole index arrays at once, and the closure a whole
-level of rows.
+``multiply_many`` multiplies each side's rows in its own shape, a block of the
+leading axis at a time, and looks each product up by a key read in place from
+its bytes, in an open-addressing hash table: so orders, classes, power maps,
+the axiom check and the closure multiply whole arrays at once.
 
 ``class_power_chains`` tabulates the class power map at every exponent in one
 array, for chartab alone; ``class_power_map`` answers one exponent.
@@ -77,8 +75,7 @@ def _flat(enc: object) -> tuple[int, ...]:
 
 def _keys(rows: np.ndarray, dtype) -> np.ndarray:
     """One opaque key per row of a (..., w) array, equal exactly when the rows
-    are: up to 8 bytes read in place as one integer or as 4-, 2- and 1-byte
-    parts shifted apart in an int64, a longer row as its bytes."""
+    are: up to 8 bytes read in place as 8-, 4-, 2- and 1-byte parts, else bytes."""
     rows = np.ascontiguousarray(rows, dtype)
     size = rows.itemsize * rows.shape[-1]
     if size > 8:
@@ -378,10 +375,9 @@ def _build_sl2(q: int):
     def mul(x, y):
         # entry (i, j) of x @ y (row-major a b / c d) is x_i0 y_0j + x_i1 y_1j:
         # one lookup per entry, at x's row i and y's column j packed together
-        x, y = x.view(np.uint8), y.view(np.uint8)
-        shift = functools.partial(np.left_shift, dtype=np.uint16)
-        rows = [shift(x[..., i], 3 * r) | shift(x[..., i + 1], 2 * r) for i in (0, 2)]
-        cols = [shift(y[..., j], r) | y[..., j + 2] for j in (0, 1)]
+        x, y = x.astype(np.uint16), y.astype(np.uint16)
+        rows = [x[..., i] << 3 * r | x[..., i + 1] << 2 * r for i in (0, 2)]
+        cols = [y[..., j] << r | y[..., j + 2] for j in (0, 1)]
         return np.stack([dot.take(u | v) for u in rows for v in cols], axis=-1)
 
     # a transvection, the Weyl element and a generator of the diagonal torus
@@ -632,14 +628,12 @@ def permutation_parity(p: Sequence[int]) -> int:
 
 def _permutation_rows(t: np.ndarray) -> np.ndarray:
     """Whether each row of a (k, n) array of indices 0..n-1 is a permutation,
-    by marking seen[i, t[i, j]] a block of rows at a time in one buffer."""
+    by marking seen[i, t[i, j]] a block of rows at a time."""
     k, n = t.shape
-    seen, step = np.zeros((k, n), bool), min(k, max(1, _BLOCK_VALUES // n))
-    at = np.empty((step, n), np.intp)
+    seen, step = np.zeros(k * n, bool), max(1, _BLOCK_VALUES // n)
     for s in range(0, k, step):
-        np.add(t[s : s + step], n * np.arange(s, min(s + step, k))[:, None], out=at[: k - s])
-        seen.reshape(-1)[at[: k - s]] = True
-    return seen.all(axis=1)
+        seen[t[s : s + step] + n * np.arange(s, min(s + step, k))[:, None]] = True
+    return seen.reshape(k, n).all(axis=1)
 
 
 def verify_axioms(G: GroupTable, seed: int = 0) -> None:
@@ -692,12 +686,9 @@ def verify_axioms(G: GroupTable, seed: int = 0) -> None:
         k = int(failed.any(axis=0).argmax())
         what = ("row", "column")[int(failed[:, k].argmax())]
         raise GroupError(f"{G.label!r}: {what} {lines[k]} is not a permutation")
-    # three draws of 32 bits per triple, uniform on 0..n-1 up to a bias below n / 2**32:
-    # the words of one stream, a third at a time, reduced into the products' index type
+    # three draws of 32 bits per triple, uniform on 0..n-1 up to a bias below n / 2**32
     rng = _seeded_rng(seed, G.label, "assoc")
-    a, b, c = abc = np.empty((3, 100_000), G._slots.dtype)
-    for row in abc:
-        np.remainder(np.frombuffer(rng.randbytes(4 * len(row)), dtype="<u4"), n, out=row, casting="unsafe")
+    a, b, c = ((np.frombuffer(rng.randbytes(400_000), "<u4") % n).astype(G._slots.dtype) for _ in range(3))
     failed = G.multiply_many(G.multiply_many(a, b), c) != G.multiply_many(a, G.multiply_many(b, c))
     if failed.any():
         k = int(failed.argmax())

@@ -116,6 +116,13 @@ def test_verify_axioms_rejects_non_groups():
     assert big.n == 600
     with pytest.raises(GroupError, match="associativity"):
         verify_axioms(big)
+    # n = 1200 takes the sampled path; the first failing triple of each
+    # seed's draw pins the seeded triples
+    huge = direct_product(loop, group("cyclic:200"))
+    for seed, witness in ((0, "(890, 1144, 1021)"), (7, "(1137, 539, 458)")):
+        message = f"'loop6*cyclic:200': associativity fails at {witness}"
+        with pytest.raises(GroupError, match=f"^{re.escape(message)}$"):
+            verify_axioms(huge, seed=seed)
     # rows (0, c) pass Light's test; they fill its first block of 64 rows
     with pytest.raises(GroupError, match="associativity fails with generator"):
         verify_axioms(direct_product(loop, group("cyclic:170")))
@@ -154,13 +161,6 @@ def test_verify_axioms_names_the_first_sampled_line_that_is_not_a_permutation(se
             verify_axioms(G, seed=seed)
 
 
-def test_sampled_triples_are_the_words_of_one_draw():
-    # verify_axioms draws its 3 x 100 000 words a third at a time: the same
-    # words as one randbytes call, so the seeded triples are unchanged
-    one, thirds = random.Random("7:sl2:16:assoc"), random.Random("7:sl2:16:assoc")
-    assert b"".join(thirds.randbytes(400_000) for _ in range(3)) == one.randbytes(1_200_000)
-
-
 def test_permutation_rows_across_blocks():
     # 100 lines of 1000 entries take two blocks; break one line in each
     rng = np.random.default_rng(3)
@@ -169,9 +169,13 @@ def test_permutation_rows_across_blocks():
     assert _permutation_rows(t).tolist() == [k not in (10, 80) for k in range(100)]
 
 
-@pytest.mark.parametrize("text", ["sym:6", "sl2:16", "dihedral:70*cyclic:3", "sym:5*sym:4"])
+@pytest.mark.parametrize(
+    "text",
+    ["sym:6", "sl2:16", "dihedral:70*cyclic:3", "sym:5*sym:4", "sl2:4*cyclic:64", "cyclic:64*sl2:4"],
+)
 def test_multiply_many_across_broadcast_shapes_and_blocks(text):
-    # int8 rows with 6-byte keys, 4-byte keys, int16 rows, 9-byte void keys
+    # int8 rows with 6-byte keys, 4-byte keys, int16 rows, 9-byte void keys,
+    # and SL(2) entries inside int16 rows on either side of a direct product
     G = group(text)
     n, w = G.rows.shape
     rng = np.random.default_rng(1)
@@ -197,6 +201,14 @@ def test_multiply_many_across_broadcast_shapes_and_blocks(text):
             assert got.flat[t] == G.multiply(int(A.flat[t]), int(B.flat[t])), text
     assert G.multiply_many(np.arange(0), np.arange(0)).shape == (0,)
     assert G.multiply_many(np.zeros((0, 1), int), every).shape == (0, n)
+
+
+def test_sl2_factor_of_a_product_with_int16_rows():
+    # cyclic:64's rows are int16, so the product hands SL(2) int16 entries
+    for text in ("sl2:4*cyclic:64", "cyclic:64*sl2:4"):
+        G = group(text)
+        assert G.rows.dtype == np.int16 and G.n == 3840
+        verify_axioms(G, seed=0)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
