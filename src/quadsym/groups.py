@@ -74,19 +74,14 @@ def _flat(enc: object) -> tuple[int, ...]:
 
 
 def _keys(rows: np.ndarray, dtype) -> np.ndarray:
-    """One opaque key per row of a (..., w) array, equal exactly when the rows
-    are: up to 8 bytes read in place as 8-, 4-, 2- and 1-byte parts, else bytes."""
-    rows = np.ascontiguousarray(rows, dtype)
-    size = rows.itemsize * rows.shape[-1]
+    """One opaque key per row of a (..., w) array, equal exactly when the rows are:
+    up to 8 bytes read in place, the p-byte part at size & (p - 1), else bytes."""
+    raw = np.ascontiguousarray(rows, dtype).view(np.uint8)
+    size = raw.shape[-1]
     if size > 8:
-        return rows.view(np.dtype((np.void, size)))[..., 0]
-    raw, key, at = rows.view(np.uint8), None, 0
-    for part in (8, 4, 2, 1):
-        if at + part <= size:
-            word = raw[..., at : at + part].view(f"u{part}")[..., 0]
-            key = word if key is None else key | word.astype(np.int64) << 8 * at
-            at += part
-    return key
+        return raw.view(np.dtype((np.void, size)))[..., 0]
+    parts = [raw[..., size & p - 1 : size & 2 * p - 1].view(f"u{p}")[..., 0] for p in (1, 2, 4, 8) if size & p]
+    return functools.reduce(lambda key, w: key.astype(np.int64) << 8 * w.itemsize | w, parts)
 
 
 # 2^64 / golden ratio, odd: Fibonacci hashing keeps the top bits of key * _FIB
@@ -185,9 +180,8 @@ class GroupTable:
         return found.reshape(shape), miss.reshape(shape)
 
     def multiply_many(self, I, J) -> np.ndarray:
-        """Indices of the products I * J, elementwise over the broadcast index
-        arrays, from each side's rows in its own shape; a large batch goes a
-        block of the leading axis at a time, cutting the sides that span it."""
+        """Indices of the products I * J over the broadcast index arrays, from each
+        side's rows in its own shape, a block of the leading axis at a time."""
         I, J = np.asarray(I), np.asarray(J)
         shape = np.broadcast(I, J).shape
         values = math.prod(shape) * self.rows.shape[1]
@@ -627,8 +621,7 @@ def permutation_parity(p: Sequence[int]) -> int:
 
 
 def _permutation_rows(t: np.ndarray) -> np.ndarray:
-    """Whether each row of a (k, n) array of indices 0..n-1 is a permutation,
-    by marking seen[i, t[i, j]] a block of rows at a time."""
+    """Whether each row of a (k, n) array of indices 0..n-1 is a permutation."""
     k, n = t.shape
     seen, step = np.zeros(k * n, bool), max(1, _BLOCK_VALUES // n)
     for s in range(0, k, step):
