@@ -22,7 +22,8 @@ order e, u a unit mod e), so the phi(e) images under z -> w^u identify Z[z]/P
 with F_P^phi.  An element with coefficients of size at most B vanishes once
 its images vanish mod primes with product Q > 2B, and is recovered from them
 by interpolation and CRT.  With C_e = max over k of |z^k|_1, orthogonality
-takes B_orth = C_e * max sum_j h_j |chi_ij|_1 |chi_i2j|_1 + n.  Once the
+takes B_orth = C_e * max sum_j h_j |chi_ij|_1 |chi_i2j|_1 + n for the rows
+alone: for the square table X, X H X* = n I gives X* X = n H^-1.  Once the
 column norms sum_i |chi_ij|^2 = c_j are decided, Hadamard bounds det at every
 embedding by (prod_j c_j)^(1/2), and Lagrange interpolation at the roots of
 Phi_e turns that into B_det (_det_bound).
@@ -31,8 +32,9 @@ Most embeddings are redundant (Isaacs, Character Theory of Finite Groups,
 1976): z -> z^a moves the image at u to the image at u * a, and it moves
 column j to column pi_a(j), pi_a the class power map, at every unit once it
 does at the generators of (Z/e)^x.  That is decided first and exactly; then
-each relation is decided at u = 1, and det at u is sign(pi_u) det at 1.  If
-a check fails, all of them run again at every unit (_at_few_units).
+each relation is decided at u = 1, and det is eliminated at u = 1 only, one
+matrix per prime, as det at u is sign(pi_u) det at 1.  If a check fails,
+all of them run again at every unit (_at_few_units).
 """
 from __future__ import annotations
 
@@ -683,47 +685,35 @@ def _at_few_units(check, G: GroupTable, S: ClassSet, T: CharacterTable):
 
 
 def verify_orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable) -> None:
-    """Row and column orthogonality, decided exactly on the embeddings mod P
-    under B_orth, which bounds the row and the column relations alike.
+    """Row orthogonality, decided exactly on the embeddings mod P under
+    B_orth; the rows imply the columns (X H X* = n I gives X* X = n H^-1).
 
     Once z -> z^a permutes the columns by pi_a, which keeps class sizes, the
-    row relations are rational and the column relations permuted, so all are
-    decided at u = 1 with the conjugates from u = -1 (_at_few_units)."""
+    row relations are rational, so they are decided at u = 1 with the
+    conjugates from u = -1 (_at_few_units)."""
     _at_few_units(lambda every: _orthogonality(G, S, T, every), G, S, T)
 
 
 def _orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable, every: bool) -> None:
     m, n, e = T.m, G.n, T.conductor
     sizes = np.array([S.classes[j].size for j in T.class_order])
-    # by Cauchy-Schwarz, sum_j h_j |chi_aj|_1 |chi_bj|_1 is largest at some
-    # a = b, and sum_i |chi_ij|_1 |chi_ik|_1 at some j = k
-    squares = T.norms * T.norms
-    sums = int(max((squares * sizes).sum(axis=1).max(), squares.sum(axis=0).max()))
-    wants = {"row": n * np.eye(m, dtype=np.int64), "column": np.diag(n // sizes)}
+    # by Cauchy-Schwarz, sum_j h_j |chi_aj|_1 |chi_bj|_1 is largest at some a = b
+    sums = int((T.norms * T.norms * sizes).sum(axis=1).max())
     primes = np.array(_primes(e, _basis(e).root_norm * sums + n, T.label))
     units = np.arange(len(_units(e)) if every else 1)  # index 0 is u = 1
     E = _table_images(T, primes, units)
     conj = _table_images(T, primes, _unit_perm(e, -1)[units])
     P = primes.reshape(-1, 1, 1, 1)
-    got = {
-        "row": np.matmul(E * sizes % P, conj.swapaxes(-1, -2)) % P,
-        "column": np.matmul(E.swapaxes(-1, -2), conj) % P,
-    }
-    for kind, want in wants.items():
-        bad = (got[kind] != want % P).any(axis=1)  # per prime
-        bad |= bad.swapaxes(-1, -2)
-        first = np.triu(bad.any(axis=0))
-        if not first.any():
-            continue
+    got = np.matmul(E * sizes % P, conj.swapaxes(-1, -2)) % P
+    bad = (got != n * np.eye(m, dtype=np.int64) % P).any(axis=1)  # per prime
+    bad |= bad.swapaxes(-1, -2)
+    first = np.triu(bad.any(axis=0))
+    if first.any():
         a, b = (int(x) for x in np.argwhere(first)[0])
-        if kind == "row":
-            terms = [(int(sizes[j]), T.entries[a][j], T.entries[b][j]) for j in range(m)]
-        else:
-            terms = [(1, T.entries[i][a], T.entries[i][b]) for i in range(m)]
-        total = sum((h * (x * galois_apply(y, -1)) for h, x, y in terms), CycInt.integer(e, 0))
+        terms = (h * (x * galois_apply(y, -1)) for h, x, y in zip(sizes.tolist(), T.entries[a], T.entries[b]))
         raise CharTableError(
-            f"{T.label}: {kind} orthogonality fails at {kind}s {a}, {b}: "
-            f"got {total}, want {int(want[a, b])} (P = {primes[bad[:, a, b].argmax()]})"
+            f"{T.label}: row orthogonality fails at rows {a}, {b}: got {sum(terms, CycInt.integer(e, 0))}, "
+            f"want {n * (a == b)} (P = {primes[bad[:, a, b].argmax()]})"
         )
 
 
@@ -757,25 +747,25 @@ def det_identities(
     column j has norm sum_i chi_ij * conj(chi_ij) = c_j = n / h_j; that is
     decided first, and a column that fails it raises CharTableError.
 
-    Once the columns permute (_at_few_units), the norms are decided at u = 1,
-    det is computed at 1, -1 and the generators g of (Z/e)^x in one stacked
-    elimination, and det at any other u is sym(u) * det at 1.  The Galois
-    checks then compare det at -1 and at each g with it, which checks the
-    elimination; at every unit a, they compare images.
+    Once the columns permute (_at_few_units), the norms are decided at u = 1
+    and det is eliminated at u = 1 only, one matrix per prime: det at any
+    other u is sym(u) * det at 1, so the Galois checks hold by construction.
+    On the every-unit path det is eliminated at every unit, and the checks
+    compare its images.
     """
     return _at_few_units(lambda every: _det_identities(G, S, T, D, every), G, S, T)
 
 
 def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discriminant, every: bool) -> DetReport:
     e, m = T.conductor, T.m
-    checked = np.arange(len(_units(e)) if every else 1)  # index 0 is u = 1
+    units = np.arange(len(_units(e)) if every else 1)  # index 0 is u = 1
     centralizers = np.array([G.n // S.classes[j].size for j in T.class_order])
     # a column norm minus c_j has coefficients below C_e * sum_i |chi_ij|_1^2 + n
     col_bound = int(_basis(e).root_norm * (T.norms * T.norms).sum(axis=0).max() + G.n)
     primes = _primes(e, col_bound, T.label)
-    E = _table_images(T, primes, checked)
+    E = _table_images(T, primes, units)
     P = np.array(primes)[:, None, None]
-    conj = _table_images(T, primes, _unit_perm(e, -1)[checked])
+    conj = _table_images(T, primes, _unit_perm(e, -1)[units])
     bad = (E * conj).sum(axis=2) % P != centralizers % P  # per prime, unit, column
     if bad.any():
         j = int(bad.any(axis=(0, 1)).argmax())
@@ -789,14 +779,12 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
     sym = symbol_character(G, S)
     tests = _units(e) if every else unit_generators(e)
     det_primes = np.array(_primes(e, _det_bound(e, centralizers.tolist()), T.label))
-    reached = np.concatenate([checked, *(_unit_perm(e, a)[checked] for a in (-1, *tests))])
-    at = np.array(sorted(set(reached.tolist())))  # index 0, u = 1, first
-    step = max(1, 2**22 // (len(at) * m * m))  # primes per elimination, about 32 MB of images
+    step = max(1, 2**22 // (len(units) * m * m))  # primes per elimination, about 32 MB of images
     chunks = [det_primes[k : k + step] for k in range(0, len(det_primes), step)]
-    dets = [_rref_stack(_table_images(T, c, at).reshape(-1, m, m), np.repeat(c, len(at)))[1] for c in chunks]
-    dets = np.concatenate(dets).reshape(len(det_primes), len(at))
-    s = np.array([sym(u) for u in _units(e)]) * dets[:, :1] % det_primes[:, None]
-    s[:, at] = dets
+    dets = [_rref_stack(_table_images(T, c, units).reshape(-1, m, m), c.repeat(len(units)))[1] for c in chunks]
+    dets = np.concatenate(dets).reshape(len(det_primes), len(units))
+    # det at u is sym(u) * det at 1 once the columns permute
+    s = dets if every else np.array([sym(u) for u in _units(e)]) * dets % det_primes[:, None]
     det = _lift(e, det_primes.tolist(), [T.images[P][0][1] for P in det_primes.tolist()], s)
     checks = []
 

@@ -232,18 +232,19 @@ def kronecker(d: int | FactoredInt, a: int) -> int:
 
 
 def kronecker_table(d: int | FactoredInt, n: int) -> list[int]:
-    """(d|a) for 0 <= a < n, calling ``kronecker`` at 0, 1 and the primes
-    below n only: the symbol is completely multiplicative in a, so any other
-    a takes the product of the values at its smallest prime factor p and at
-    a / p, both already in the table."""
+    """(d|a) for 0 <= a < n: ``kronecker`` at a < 3, which checks that d is a
+    discriminant, (d mod p|p) at the odd primes p, and at any other a, as the
+    symbol is completely multiplicative, the product of the values at its
+    smallest prime factor p and at a / p, both already in the table."""
+    table = [kronecker(d, a) for a in range(min(n, 3))]
+    d = d.value() if isinstance(d, FactoredInt) else d
     least = list(range(n))
     # every p from the top down marks its multiples from p^2 on, so the
     # smallest divisor of each composite is the one left
     for p in range(math.isqrt(max(n - 1, 0)), 1, -1):
         least[p * p :: p] = [p] * len(range(p * p, n, p))
-    table: list[int] = []
-    for a, p in enumerate(least):
-        table.append(kronecker(d, a) if p == a else table[p] * table[a // p])
+    for a, p in enumerate(least[3:], 3):
+        table.append(jacobi(d % a, a) if p == a else table[p] * table[a // p])
     return table
 
 

@@ -843,12 +843,12 @@ def test_table_images_are_kept_per_table(build):
     det_identities(b.G, b.S, b.split, T, b.D)
     # one record per prime: the embedding maps, and the images by unit
     # index; the first prime's cover all 36 units mod e = 126, to decide the
-    # Galois action, the second's only 1, -1 and the generators 29 and 73
+    # Galois action, the second's only u = 1, where det is eliminated
     first, second = _embedding_prime(126, 0), _embedding_prime(126, 1)
     assert list(T.images) == [first, second]
     assert all(T.images[P][0] is _embedding_maps(126, P) for P in T.images)
     assert sorted(T.images[first][1]) == list(range(36))
-    assert sorted(_units(126)[t] for t in T.images[second][1]) == [1, 29, 73, 125]
+    assert sorted(_units(126)[t] for t in T.images[second][1]) == [1]
     # each prime's image at a unit is computed once per table: det_identities
     # keeps what verify_orthogonality computed, and a second run adds nothing
     kept = record(T)
@@ -858,6 +858,30 @@ def test_table_images_are_kept_per_table(build):
     assert same(kept, record(T))
     # a table made from this one by replace starts without images
     assert dataclasses.replace(T, entries=T.entries).images == {}
+
+
+def test_det_is_eliminated_once_per_prime(build, monkeypatch):
+    # once the columns permute, det at u is (u/G) det at 1, so det is
+    # eliminated at u = 1 only, one matrix per det prime (sym:7 has 3 det
+    # primes, sl2:8 2); where they do not, at every unit of every det prime
+    from quadsym import chartab
+
+    stacked = []
+    original = chartab._rref_stack
+    monkeypatch.setattr(chartab, "_rref_stack", lambda A, P: stacked.append(len(A)) or original(A, P))
+    for label, want in [("sym:7", 3), ("sl2:8", 2)]:
+        b, T = table_for(build, label)
+        stacked.clear()
+        assert det_identities(b.G, b.S, b.split, T, b.D).ok, label
+        assert sum(stacked) == want, (label, stacked)
+    # cyclic:5 with its last row times z, as in test_det_identities_detect_corruption
+    b, T = table_for(build, "cyclic:5")
+    z = CycInt.root_power(5, 1)
+    bad = dataclasses.replace(T, entries=T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),))
+    stacked.clear()
+    assert not det_identities(b.G, b.S, b.split, bad, b.D).ok
+    det_primes = _primes(5, _det_bound(5, [5] * 5), T.label)
+    assert bad.galois == [False] and sum(stacked) == len(det_primes) * len(_units(5)), stacked
 
 
 # Oracles: verify_orthogonality and det_identities as they were before the
@@ -886,7 +910,7 @@ def l1(z):
     return sum(map(abs, z.coeffs))
 
 
-def orthogonality_oracle(G, S, T):
+def orthogonality_oracle(G, S, T, kinds=("row", "column")):
     m, n, e = T.m, G.n, T.conductor
     sizes = np.array([S.classes[j].size for j in T.class_order])
     norms = np.array([[l1(z) for z in row] for row in T.entries], dtype=object)
@@ -903,7 +927,8 @@ def orthogonality_oracle(G, S, T):
         "row": np.matmul(E * sizes % P, conj.swapaxes(-1, -2)) % P,
         "column": np.matmul(E.swapaxes(-1, -2), conj) % P,
     }
-    for kind, want in wants.items():
+    for kind in kinds:
+        want = wants[kind]
         bad = (got[kind] != want % P).any(axis=1)  # per prime
         bad |= bad.swapaxes(-1, -2)
         first = np.triu(bad.any(axis=0))
@@ -1031,6 +1056,24 @@ def test_checks_match_the_all_units_oracles(build, catalog):
         b = build(label)
         orth, det = assert_checks_match_the_oracles(b, character_table(b.G, b.S, b.split, max_classes=b.S.m))
         assert orth is None and det.ok, label
+
+
+def test_rows_imply_the_columns(build, catalog):
+    # verify_orthogonality decides the rows only; on every table whose rows
+    # pass, the oracle's column half holds exactly: the table itself, its
+    # last row times z (the Galois decision fails, so every unit is checked)
+    # and its rows after the first reversed
+    labels = [label for label in catalog if build(label).S.m <= 16]
+    labels += ["cyclic:11*sym:3", "dihedral:12*sym:4", "sl2:16", PSL27]
+    for label in labels:
+        b = build(label)
+        T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
+        z = CycInt.root_power(T.conductor, 1)
+        times_z = T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),)
+        for rows in (T.entries, times_z, T.entries[:1] + T.entries[:0:-1]):
+            table = dataclasses.replace(T, entries=rows)
+            verify_orthogonality(b.G, b.S, table)
+            assert orthogonality_oracle(b.G, b.S, table, kinds=("column",)) is None, label
 
 
 def test_existing_corruptions_match_the_oracles(build):

@@ -303,5 +303,13 @@ def test_kronecker_table_matches_kronecker(build, catalog):
         d = 4 * rng.randrange(-size, size) + rng.choice((0, 1)) or 1
         n = rng.randrange(0, 1500)
         assert kronecker_table(d, n) == [kronecker(d, a) for a in range(n)], (d, n)
-    with pytest.raises(ValueError, match="not a discriminant"):
-        kronecker_table(7, 10)
+    # factored, negative and odd discriminants, and the tables shorter than 3
+    for _ in range(200):
+        d = 4 * rng.randrange(-10**4, 10**4) + rng.choice((0, 1)) or -4
+        n = rng.choice((0, 1, 2, 3, 4, rng.randrange(5, 400)))
+        want = [kronecker(d, a) for a in range(n)]
+        assert kronecker_table(d, n) == kronecker_table(factorize(d), n) == want, (d, n)
+    for d in (7, 2, -1, factorize(-6)):
+        for n in (1, 2, 3, 10):
+            with pytest.raises(ValueError, match="not a discriminant"):
+                kronecker_table(d, n)
