@@ -45,7 +45,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import ClassSet, GroupTable, OrderCapExceeded, PowerChains, _seeded_rng, class_power_chains
+from .groups import (
+    ClassSet, GroupTable, OrderCapExceeded, PowerChains, _seeded_rng, class_power_chains, permutation_parity
+)
 from .ntheory import factorize, is_prime, primitive_root, unit_generators
 from .reciprocity import CheckResult, Discriminant, RealComplexSplit, _check, symbol_character
 
@@ -748,10 +750,9 @@ def det_identities(
     decided first, and a column that fails it raises CharTableError.
 
     Once the columns permute (_at_few_units), the norms are decided at u = 1
-    and det is eliminated at u = 1 only, one matrix per prime: det at any
-    other u is sym(u) * det at 1, so the Galois checks hold by construction.
-    On the every-unit path det is eliminated at every unit, and the checks
-    compare its images.
+    and det is eliminated there only, one matrix per prime (else at every
+    unit): det at any other u is sign(pi_u) * det at 1, pi_u from the power
+    chains, and the Galois checks compare those signs with the symbol (u/G).
     """
     return _at_few_units(lambda every: _det_identities(G, S, T, D, every), G, S, T)
 
@@ -783,9 +784,11 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
     chunks = [det_primes[k : k + step] for k in range(0, len(det_primes), step)]
     dets = [_rref_stack(_table_images(T, c, units).reshape(-1, m, m), c.repeat(len(units)))[1] for c in chunks]
     dets = np.concatenate(dets).reshape(len(det_primes), len(units))
-    # det at u is sym(u) * det at 1 once the columns permute
-    s = dets if every else np.array([sym(u) for u in _units(e)]) * dets % det_primes[:, None]
-    det = _lift(e, det_primes.tolist(), [T.images[P][0][1] for P in det_primes.tolist()], s)
+    if not every:  # z -> z^u permutes the columns by pi_u (_column_witness): det at u is sign(pi_u) det at 1
+        chains = T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
+        pis = map(tuple, chains.at(np.array(_units(e))[:, None]).tolist())  # pi_u by unit; few differ
+        dets = np.array(list(map(lru_cache(None)(permutation_parity), pis))) * dets % det_primes[:, None]
+    det = _lift(e, det_primes.tolist(), [T.images[P][0][1] for P in det_primes.tolist()], dets)
     checks = []
 
     det2 = det * det
@@ -798,10 +801,9 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
     checks.append(_check("det_squared_is_ell2_d", ratio_ok, f"det^2 = {det2}, d = {dval}"))
 
     def scales_det(a: int) -> bool:
-        return not ((s[:, _unit_perm(e, a)] - sym(a) * s) % det_primes[:, None]).any()
+        return not ((dets[:, _unit_perm(e, a)] - sym(a) * dets) % det_primes[:, None]).any()
 
-    conj_ok = scales_det(-1)
-    checks.append(_check("conjugate_det", conj_ok, f"conj(det) != ({sym(-1)}) * det"))
+    checks.append(_check("conjugate_det", scales_det(-1), f"conj(det) != ({sym(-1)}) * det"))
 
     moved = _column_witness(G, S, T, tests) if every else None  # else the columns permute
     galois_witness = column_witness = None
@@ -816,9 +818,7 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
     checks.append(CheckResult("galois_permutes_columns", not column_witness, column_witness))
 
     mod4_ok = d2_ok and det_squared % 4 in (0, 1)
-    checks.append(
-        _check("det_squared_mod_4", mod4_ok, f"det^2 = {det_squared} = {det_squared % 4} mod 4")
-    )
+    checks.append(_check("det_squared_mod_4", mod4_ok, f"det^2 = {det_squared} = {det_squared % 4} mod 4"))
     return DetReport(det=det, det_squared=det_squared, ell=ell, checks=tuple(checks))
 
 

@@ -884,6 +884,31 @@ def test_det_is_eliminated_once_per_prime(build, monkeypatch):
     assert bad.galois == [False] and sum(stacked) == len(det_primes) * len(_units(5)), stacked
 
 
+def test_galois_checks_compare_the_table_with_the_symbol(build, monkeypatch):
+    # on the few-units path det at u is sign(pi_u) * det at 1, pi_u from the
+    # power chains the table's columns were checked against; the symbol is
+    # read from class_power_map, so a symbol flipped at a generator of
+    # (Z/e)^x, a character still, fails there and on the every-unit path
+    from quadsym import chartab, reciprocity
+
+    original = reciprocity.quadratic_symbol
+    for label in ["sym:4", "cyclic:5", PSL27]:
+        b, T = table_for(build, label)
+        want = det_identities(b.G, b.S, b.split, T, b.D)
+        g = chartab.unit_generators(T.conductor)[0]
+        flip = lambda G, S, a, g=g: -original(G, S, a) if a == g else original(G, S, a)
+        monkeypatch.setattr(reciprocity, "quadratic_symbol", flip)
+        few = chartab._det_identities(b.G, b.S, T, b.D, every=False)
+        every = det_identities(b.G, b.S, b.split, T, b.D)
+        monkeypatch.setattr(reciprocity, "quadratic_symbol", original)
+        for report in (every, few):
+            checks = {c.name: c for c in report.checks}
+            assert report.det == want.det and checks["galois_permutes_columns"].ok, label
+            assert not checks["galois_scales_det_by_symbol"].ok, label
+        # the few-units path tests the generators, g first
+        assert checks["galois_scales_det_by_symbol"].witness == f"a = {g}, symbol {-original(b.G, b.S, g)}", label
+
+
 # Oracles: verify_orthogonality and det_identities as they were before the
 # Galois action was decided at the generators of the units, with every check
 # at every unit of every prime.
@@ -910,7 +935,7 @@ def l1(z):
     return sum(map(abs, z.coeffs))
 
 
-def orthogonality_oracle(G, S, T, kinds=("row", "column")):
+def orthogonality_oracle(G, S, T):
     m, n, e = T.m, G.n, T.conductor
     sizes = np.array([S.classes[j].size for j in T.class_order])
     norms = np.array([[l1(z) for z in row] for row in T.entries], dtype=object)
@@ -927,8 +952,7 @@ def orthogonality_oracle(G, S, T, kinds=("row", "column")):
         "row": np.matmul(E * sizes % P, conj.swapaxes(-1, -2)) % P,
         "column": np.matmul(E.swapaxes(-1, -2), conj) % P,
     }
-    for kind in kinds:
-        want = wants[kind]
+    for kind, want in wants.items():
         bad = (got[kind] != want % P).any(axis=1)  # per prime
         bad |= bad.swapaxes(-1, -2)
         first = np.triu(bad.any(axis=0))
@@ -1073,7 +1097,7 @@ def test_rows_imply_the_columns(build, catalog):
         for rows in (T.entries, times_z, T.entries[:1] + T.entries[:0:-1]):
             table = dataclasses.replace(T, entries=rows)
             verify_orthogonality(b.G, b.S, table)
-            assert orthogonality_oracle(b.G, b.S, table, kinds=("column",)) is None, label
+            assert orthogonality_oracle(b.G, b.S, table) is None, label
 
 
 def test_existing_corruptions_match_the_oracles(build):
