@@ -4,14 +4,15 @@ integers.
 The table of a group with m classes and exponent e lives in Z[z] with z a
 primitive e-th root of unity.  We first find the m central characters as
 common eigenvectors of the class-multiplication matrices over F_P, where
-P = 1 mod e so F_P contains the needed roots of unity: a random combination
-of them, restricted to a common eigenspace, splits it by the roots of its
-characteristic polynomial (Hessenberg form, then one Horner pass over all
-of F_P), with the null spaces of all roots from one stacked row reduction.
-We then recover each entry exactly: the eigenvalue multiplicities
+P = 1 mod e so F_P contains the needed roots of unity.  The split keeps one
+vector per piece, starting from the identity class: a random combination R
+of the class matrices splits a piece w by the roots of its minimal
+polynomial, read from the Krylov sequence w, R w, R^2 w, ... (Wiedemann,
+1986) and scanned by one Horner pass over all of F_P, until there are m
+pieces.  We then recover each entry exactly: the eigenvalue multiplicities
 of a representation at a group element are small nonnegative integers, so
 knowing them mod a large enough P pins them down.  One stacked Gauss-Jordan
-elimination mod P (_rref_stack) gives both the null spaces and the
+elimination mod P (_rref_stack) gives both the Krylov dependences and the
 determinants; it reduces only the pivot row and column at each step, so any
 other entry gains less than (P - 1)^2 per step, and c columns stay exact in
 int64 while c (P - 1)^2 + P < 2^63, which it asserts.
@@ -395,78 +396,38 @@ def _rref_stack(A: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
     return has, np.where(odd, -det % P, det)
 
 
-def _restrict(R: np.ndarray, basis: np.ndarray, pivots: list[int], P: int) -> np.ndarray:
-    """Matrix of ``R`` on the span of ``basis`` (which must be invariant,
-    with the identity at the columns ``pivots``), in basis coordinates."""
-    images = basis @ R.T % P
-    coords = images[:, pivots]
-    if ((images - coords @ basis) % P).any():
-        raise CharTableError("subspace is not invariant; splitting is inconsistent")
-    return coords.T
+def _split(pieces: np.ndarray, R: np.ndarray, P: int) -> np.ndarray:
+    """Each piece w (a row) split by R, in piece and root order: q(R) w for
+    each root lam of w's minimal polynomial mu, q = mu / (x - lam).
 
-
-def _charpoly(T: np.ndarray, P: int) -> np.ndarray:
-    """Coefficients mod P of det(x - T), constant term first.
-
-    T is brought to upper Hessenberg form H by similarity, one column at a
-    time.  Then p_k = det(x - H[:k, :k]) satisfies p_(k+1) = (x - h_kk) p_k
-    - sum over i < k of h_ik * h_(i+1,i) ... h_(k,k-1) * p_i.
+    A piece is a sum of central characters with nonzero coefficients, so
+    q(R) w keeps the terms of eigenvalue lam, each times q(lam) != 0.  mu is
+    read from the first column without a pivot in the reduced Krylov stack
+    w, R w, R^2 w, ...; p pieces share m characters, so it has degree at
+    most m - p + 1, and it must have that many distinct roots in F_P.
     """
-    H = T % P
-    d = len(H)
-    for j in range(d - 2):
-        below = np.flatnonzero(H[j + 1 :, j])
-        if not below.size:
-            continue  # the subcolumn is zero already
-        i = j + 1 + below[0]
-        H[[j + 1, i]] = H[[i, j + 1]]
-        H[:, [j + 1, i]] = H[:, [i, j + 1]]
-        u = H[j + 2 :, j] * pow(int(H[j + 1, j]), -1, P) % P
-        H[j + 2 :] -= u[:, None] * H[j + 1]  # row i -= u_i * row j + 1, and
-        H[j + 2 :] %= P
-        H[:, j + 1] += H[:, j + 2 :] @ u  # column j + 1 += u_i * column i
-        H[:, j + 1] %= P
-    polys = np.zeros((d + 1, d + 1), dtype=np.int64)  # row k: p_k
-    polys[0, 0] = 1
-    sub = np.ones(d, dtype=np.int64)
-    for k in range(d):
-        sub[:k] = sub[:k] * H[k, k - 1] % P  # sub[i] = h_(i+1,i) ... h_(k,k-1)
-        polys[k + 1, 1:] = polys[k, :-1]
-        polys[k + 1] -= H[k, k] * polys[k] + (H[:k, k] * sub[:k] % P) @ polys[:k]
-        polys[k + 1] %= P
-    return polys[d]
-
-
-def _split_space(space, R, P):
-    """The pieces of ``space`` on which R acts by one root of its
-    characteristic polynomial each, in root order, as (basis, the columns
-    where it is the identity): the null spaces of T - lam for all roots lam
-    at once, T being R restricted to ``space``."""
-    basis, pivots = space
-    d = len(basis)
-    T = _restrict(R, basis, pivots, P)
-    lams = np.arange(P)
-    values = np.zeros(P, dtype=np.int64)
-    for c in _charpoly(T, P)[::-1].tolist():  # Horner at every lam at once
-        values = (values * lams + c) % P
-    eye = np.eye(d, dtype=np.int64)
-    shifted = (T - np.flatnonzero(values == 0)[:, None, None] * eye) % P
-    has, _ = _rref_stack(shifted, P)
-    nullity = d - has.sum(axis=1)
-    if nullity.sum() != d:
+    p, m = pieces.shape
+    krylov = np.empty((p, m - p + 2, m), dtype=np.int64)
+    krylov[:, 0] = pieces
+    for k in range(1, m - p + 2):
+        krylov[:, k] = krylov[:, k - 1] @ R.T % P
+    stack = krylov.transpose(0, 2, 1).copy()
+    has, _ = _rref_stack(stack, P)
+    deg = has.argmin(axis=1)  # R^deg w is the first power in the span of the ones before
+    d = int(deg.max())
+    mu = np.zeros((p, d + 1), dtype=np.int64)  # constant first
+    mu[:, :d] = -stack[np.arange(p), :d, deg] % P  # 0 from row deg on
+    mu[np.arange(p), deg] = 1
+    values = np.zeros((p, P), dtype=np.int64)
+    for c in mu.T[::-1]:  # Horner at every lam at once
+        values = (values * np.arange(P) + c[:, None]) % P
+    if has.all(axis=1).any() or ((values == 0).sum(axis=1) != deg).any():
         raise CharTableError("class matrices were not simultaneously diagonalizable")
-    # Z[:, j, t] is entry free[t] of the row with the pivot in column j (0
-    # when j has none), so the null vector of the free column f = free[t] is
-    # e_f - Z[:, t]; taking the free columns first pads each null basis with
-    # pivot columns, whose vectors are 0
-    free = np.argsort(has, axis=1, kind="stable")[:, : nullity.max()]
-    pivot_row = np.maximum(has.cumsum(axis=1) - 1, 0)
-    Z = shifted[np.arange(len(has))[:, None, None], pivot_row[:, :, None], free[:, None, :]] * has[:, :, None]
-    null = (eye[free] - Z.swapaxes(1, 2)) % P
-    # null has the identity at the free columns and basis at ``pivots``, so
-    # null @ basis has it at pivots[f] for the free columns f
-    sub = null @ basis % P
-    return [(s[:k], [pivots[f] for f in fs[:k]]) for s, fs, k in zip(sub, free.tolist(), nullity.tolist())]
+    lams = np.argsort(values != 0, axis=1, kind="stable")[:, :d]  # each piece's roots first
+    q = np.zeros((p, d, d + 1), dtype=np.int64)  # synthetic division, from the top
+    for k in range(d, 0, -1):
+        q[:, :, k - 1] = (mu[:, k, None] + lams * q[:, :, k]) % P
+    return (q[:, :, :d] @ krylov[:, :d] % P)[np.arange(d) < deg[:, None]]
 
 
 def _common_eigenvectors(cls_pos, targets, P, label, seed):
@@ -474,26 +435,27 @@ def _common_eigenvectors(cls_pos, targets, P, label, seed):
     lead with 1.  Element x of class cls_pos[x] takes class k to class
     targets[x, k], the class of x^-1 rep_k, so a random combination R of the
     class matrices, R[t, k] = sum of r_i over the x in class i with
-    targets[x, k] = t, is one scatter over the (n, m) targets.  The
-    combinations come from one seeded stream, and valid class data splits
-    into lines within a few, so a failed split or 60 combinations raise."""
+    targets[x, k] = t, is one scatter over the (n, m) targets.  The split
+    starts from e_0, the identity class, which is sum_chi chi(1)^2 / n
+    omega_chi: no coefficient vanishes, as P = 1 mod e is prime to n and
+    chi(1) < P.  The combinations come from one seeded stream, and valid
+    class data splits into m pieces within a few, so a failed split or 60
+    combinations raise."""
     m = targets.shape[1]
     rng = _seeded_rng(seed, label, "split:0")
-    spaces = [(np.eye(m, dtype=np.int64), list(range(m)))]
+    pieces = np.eye(1, m, dtype=np.int64)
     try:
         for _ in range(60):
-            if all(len(b) == 1 for b, _ in spaces):
+            if len(pieces) >= m:
                 break
             r = np.array([rng.randrange(P) for _ in range(m)], dtype=np.int64)
             R = np.zeros((m, m), dtype=np.int64)
             np.add.at(R, (targets, np.arange(m)), r[cls_pos, None])
-            R %= P
-            spaces = [piece for sp in spaces for piece in (_split_space(sp, R, P) if len(sp[0]) > 1 else [sp])]
+            pieces = _split(pieces, R % P, P)
     except CharTableError as exc:
         raise CharTableError(f"{label}: {exc} (P = {P})") from exc
-    if all(len(b) == 1 for b, _ in spaces):
-        # each line's vector scaled to lead with 1: its reduced echelon row
-        vecs = [(v * pow(int(v[v != 0][0]), -1, P) % P).tolist() for v in (b[0] for b, _ in spaces)]
+    if len(pieces) == m:
+        vecs = [(v * pow(int(v[v != 0][0]), -1, P) % P).tolist() for v in pieces]
         if len({tuple(v) for v in vecs}) == m:
             return vecs
     raise CharTableError(f"{label}: eigenspace splitting did not converge in 60 combinations (P = {P})")
@@ -539,7 +501,8 @@ class CharacterTable:
     @cached_property
     def coeffs(self) -> np.ndarray:
         """The entries' coefficients, (m, m, phi): int64 while each is below
-        2^31 in size, Python ints otherwise."""
+        2^31 in size, Python ints otherwise; character_table leaves its own
+        int64 array here."""
         entries = [[z.coeffs for z in row] for row in self.entries]
         try:
             coeffs = np.array(entries, dtype=np.int64)
@@ -624,15 +587,19 @@ def character_table(
     # by degree, the trivial character first, then by coefficients
     trivial = (coeffs == basis.pow_rows[0]).all(axis=(1, 2))
     order = sorted(range(m), key=lambda i: (degrees[i], not trivial[i], coeffs[i].tolist()))
-    return CharacterTable(
+    coeffs = coeffs[order]
+    T = CharacterTable(
         label=G.label,
         conductor=e,
         prime=P,
         class_order=tuple(cols),
         degrees=tuple(degrees[i] for i in order),
-        entries=tuple(tuple(CycInt(e, tuple(z)) for z in row) for row in coeffs[order].tolist()),
+        entries=tuple(tuple(CycInt(e, tuple(z)) for z in row) for row in coeffs.tolist()),
         chains=chains,
     )
+    if np.abs(coeffs).max() < 2**31:  # what T.coeffs would build from the entries
+        T.__dict__["coeffs"] = coeffs
+    return T
 
 
 def _table_images(T: CharacterTable, primes: Sequence[int], units: np.ndarray) -> np.ndarray:

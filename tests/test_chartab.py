@@ -14,7 +14,6 @@ from quadsym.chartab import (
     CycInt,
     DetReport,
     _basis,
-    _charpoly,
     _common_eigenvectors,
     _derivative_bound,
     _det_bound,
@@ -22,9 +21,8 @@ from quadsym.chartab import (
     _embedding_prime,
     _lift,
     _primes,
-    _restrict,
     _rref_stack,
-    _split_space,
+    _split,
     _table_images,
     _unit_perm,
     _units,
@@ -37,7 +35,7 @@ from quadsym.chartab import (
 )
 from quadsym.groups import OrderCapExceeded, class_power_chains, conjugacy_classes, make_group
 from quadsym.groupspec import parse_group_spec
-from quadsym.ntheory import factorize, fundamental_discriminant
+from quadsym.ntheory import factorize, fundamental_discriminant, primitive_root
 from quadsym.reciprocity import CheckResult, _check, discriminant, real_complex_split, symbol_character
 
 
@@ -149,17 +147,43 @@ def det_stack(A, P):
     return _rref_stack(np.asarray(A, dtype=np.int64) % np.reshape(P, (-1, 1, 1)), P)[1]
 
 
-def split_oracle(space, R, P):
-    """_split_space root by root: a null space and a reduction per root."""
-    basis, pivots = space
-    d = len(basis)
-    T = _restrict(R, basis, pivots, P)
+def split_oracle(pieces, R, P):
+    """_split root by root: the eigenspaces of a diagonalizable R from a null
+    space per root of det(x - R), and each piece's component in each of them
+    that it meets, in piece and root order."""
+    d = len(R)
     eye = np.eye(d, dtype=np.int64)
-    pieces = []
-    for lam in range(P):
-        if det_stack_oracle((lam * eye - T)[None], P)[0] == 0:
-            pieces.append(rref_oracle(nullspace_oracle((T - lam * eye) % P, P) @ basis % P, P))
-    return pieces
+    roots = np.flatnonzero(det_stack_oracle(np.arange(P)[:, None, None] * eye - R, P) == 0)
+    spaces = [nullspace_oracle((R - lam * eye) % P, P) for lam in roots]
+    basis = np.vstack(spaces)
+    assert len(basis) == d  # the eigenvectors span
+    bounds = np.cumsum([0] + [len(space) for space in spaces])
+    out = []
+    for w in pieces:
+        coords = rref_oracle(np.hstack([basis.T, w[:, None]]), P)[0][:, -1]  # w = coords @ basis
+        parts = [coords[a:b] @ space % P for a, b, space in zip(bounds, bounds[1:], spaces)]
+        out += [part for part in parts if part.any()]
+    return out
+
+
+def leading_one(v, P):
+    return (v * pow(int(v[v != 0][0]), -1, P) % P).tolist()
+
+
+def diagonalizable(rng, eigenvalues, P):
+    """A random map mod P with the given eigenvalues, and its eigenvectors
+    as the columns of an invertible matrix."""
+    d = len(eigenvalues)
+    V = rng.integers(0, P, (d, d))
+    while len(rref_oracle(V, P)[1]) < d:
+        V = rng.integers(0, P, (d, d))
+    inverse = rref_oracle(np.hstack([V, np.eye(d, dtype=np.int64)]), P)[0][:, d:]
+    return V @ np.diag(eigenvalues) % P @ inverse % P, V
+
+
+def assert_split_matches_the_oracle(pieces, R, P):
+    want = [leading_one(part, P) for part in split_oracle(pieces, R, P)]
+    assert [leading_one(v, P) for v in _split(pieces, R, P)] == want
 
 
 PSL27 = "perm:[(1 2 3 4 5 6 7),(1 2)(3 6)]"
@@ -238,80 +262,67 @@ def test_det_stack_at_the_headroom_bound():
         _rref_stack(np.zeros((2, 1, big), dtype=np.int64), np.array([3, P]))
 
 
-def assert_same_piece(piece, want, P):
-    """A piece of _split_space spans the oracle's reduced echelon piece and
-    has the identity at its pivot columns, which is all _restrict needs."""
-    basis, pivots = piece
-    assert (basis[:, pivots] == np.eye(len(basis), dtype=np.int64)).all()
-    rref, rref_pivots = rref_oracle(basis, P)
-    assert rref_pivots == want[1] and (rref == want[0]).all()
-
-
-def test_split_space_with_a_repeated_root():
+def test_split_with_a_repeated_root():
     # R has eigenvalues 2, 2, 5 on a 3-dimensional invariant subspace of
-    # F_P^5 and 3, 3 off it: the split gives a plane and a line, in root order
+    # F_P^5 and 3, 3 off it: a vector in the subspace splits into its parts
+    # at 2 and 5, in root order, and a vector of the whole space into three
     rng = np.random.default_rng(47)
     for P in (7, 61, 421):
-        V = rng.integers(0, P, (5, 5))
-        while len(rref_oracle(V, P)[1]) < 5:
-            V = rng.integers(0, P, (5, 5))
-        inverse = rref_oracle(np.hstack([V, np.eye(5, dtype=np.int64)]), P)[0][:, 5:]
-        R = V @ np.diag([2, 5, 3, 2, 3]) % P @ inverse % P
-        space = rref_oracle(V[:, [0, 1, 3]].T, P)
-        pieces = _split_space(space, R, P)
-        want = split_oracle(space, R, P)
-        assert [len(b) for b, _ in pieces] == [2, 1]
-        assert len(pieces) == len(want)
-        for piece, want_piece in zip(pieces, want):
-            assert_same_piece(piece, want_piece, P)
-        # and the whole space, where 3 is a repeated root too
-        whole = (np.eye(5, dtype=np.int64), list(range(5)))
-        assert [len(b) for b, _ in _split_space(whole, R, P)] == [2, 2, 1]
+        R, V = diagonalizable(rng, [2, 5, 3, 2, 3], P)
+        inside = V[:, [0, 1, 3]] @ rng.integers(1, P, 3) % P
+        assert len(_split(inside[None], R, P)) == 2
+        assert_split_matches_the_oracle(inside[None], R, P)
+        whole = V @ rng.integers(1, P, 5) % P
+        assert len(_split(whole[None], R, P)) == 3
+        assert_split_matches_the_oracle(whole[None], R, P)
 
 
-def test_split_space_matches_the_oracle_on_random_diagonalizable_maps():
+def test_split_matches_the_oracle_on_random_diagonalizable_maps():
+    # pieces as the split holds them: sums of eigenvectors with nonzero
+    # coefficients over disjoint sets, eigenvalues repeated within and across
     rng = np.random.default_rng(53)
-    for P in (3, 61, 421):
-        for d in (1, 2, 4, 6):
-            V = rng.integers(0, P, (d, d))
-            while len(rref_oracle(V, P)[1]) < d:
-                V = rng.integers(0, P, (d, d))
-            inverse = rref_oracle(np.hstack([V, np.eye(d, dtype=np.int64)]), P)[0][:, d:]
-            R = V @ np.diag(rng.integers(0, min(P, 4), d)) % P @ inverse % P
-            space = (np.eye(d, dtype=np.int64), list(range(d)))
-            got = _split_space(space, R, P)
-            want = split_oracle(space, R, P)
-            assert len(got) == len(want)
-            for piece, want_piece in zip(got, want):
-                assert_same_piece(piece, want_piece, P)
+    for P in (3, 7, 61, 421):
+        for d in (1, 2, 4, 6, 9):
+            R, V = diagonalizable(rng, rng.integers(0, min(P, 4), d), P)
+            for p in range(1, d + 1):
+                owner = rng.permutation(np.arange(d) % p)  # every piece meets one eigenvector at least
+                coeffs = rng.integers(1, P, d) * (owner == np.arange(p)[:, None])
+                assert_split_matches_the_oracle(coeffs @ V.T % P, R, P)
 
 
 def test_each_split_runs_one_elimination(build, monkeypatch):
+    # one stacked reduction of the Krylov vectors per combination drawn
     from quadsym import chartab
 
-    calls = {"_rref_stack": 0, "_split_space": 0}
+    calls = draws = 0
+    rref_stack, seeded_rng = chartab._rref_stack, chartab._seeded_rng
 
-    def counting(name):
-        original = getattr(chartab, name)
+    def counting_rref_stack(A, P):
+        nonlocal calls
+        calls += 1
+        return rref_stack(A, P)
 
-        def wrapper(*args, **kw):
-            calls[name] += 1
-            return original(*args, **kw)
+    class CountingRng:
+        def __init__(self, rng):
+            self.rng = rng
 
-        monkeypatch.setattr(chartab, name, wrapper)
+        def randrange(self, P):
+            nonlocal draws
+            draws += 1
+            return self.rng.randrange(P)
 
-    counting("_rref_stack")
-    counting("_split_space")
+    monkeypatch.setattr(chartab, "_rref_stack", counting_rref_stack)
+    monkeypatch.setattr(chartab, "_seeded_rng", lambda *args: CountingRng(seeded_rng(*args)))
     for label in ["sym:7", "dihedral:12*sym:4"]:
-        calls.update(_rref_stack=0, _split_space=0)
-        table_for(build, label, max_classes=64)
-        assert calls["_rref_stack"] == calls["_split_space"] > 0, (label, calls)
+        calls = draws = 0
+        b = build(label)
+        character_table(b.G, b.S, b.split, max_classes=64)
+        assert draws % b.S.m == 0 and calls == draws // b.S.m > 0, (label, calls, draws)
 
 
 def test_split_holds_one_stack(build):
-    # the null vectors are gathered at the free columns of the reduced stack
-    # (up to 48 matrices 48 x 48 at cyclic:48's first split, 0.84 MB of
-    # int64), not read from (r, d, d) copies of it
+    # the split holds one Krylov stack of its pieces at a time (48 x 49 at
+    # cyclic:48's first split), not a stack of matrices per root
     import tracemalloc
 
     b = build("cyclic:48")
@@ -345,40 +356,17 @@ def test_class_matrices_take_one_product(build, monkeypatch):
         assert calls == chains_calls + 1, (label, calls, chains_calls)
 
 
-def test_charpoly_matches_the_determinant_scan():
-    # the oracle: det(lam - T) at every lam in F_P, one batched elimination
-    rng = np.random.default_rng(41)
-    cases = [(rng.integers(0, P, (d, d)), P) for P in (2, 3, 7, 101, 421) for d in (1, 2, 3, 5, 8)]
-    # entries mostly zero, so that zero subcolumns and row swaps are common
-    cases += [(rng.integers(0, 3, (6, 6)) * rng.integers(0, 2, (6, 6)), 3) for _ in range(20)]
-    zero_subcolumn = rng.integers(0, 101, (5, 5))
-    zero_subcolumn[1:, 0] = 0  # the first Hessenberg step has nothing to clear
-    swap = rng.integers(0, 101, (5, 5))
-    swap[1:3, 0] = 0, 5  # the first pivot sits below the subdiagonal
-    scalar = 7 * np.eye(4, dtype=np.int64)
-    jordan = np.eye(6, k=1, dtype=np.int64)  # nilpotent
-    cases += [(zero_subcolumn, 101), (swap, 101), (scalar, 101), (jordan, 101)]
-    for T, P in cases:
-        d, before = len(T), T.copy()
-        coeffs = _charpoly(T, P).tolist()
-        assert (T == before).all()
-        assert len(coeffs) == d + 1 and coeffs[-1] == 1
-        values = [sum(c * pow(lam, k, P) for k, c in enumerate(coeffs)) % P for lam in range(P)]
-        eye = np.eye(d, dtype=np.int64)
-        assert values == det_stack(np.arange(P)[:, None, None] * eye - T, P).tolist(), (T, P)
-    assert _charpoly(scalar, 101).tolist() == [c % 101 for c in (7**4, -4 * 7**3, 6 * 7**2, -4 * 7, 1)]
-    assert _charpoly(jordan, 101).tolist() == [0] * 6 + [1]
-
-
 def test_splitting_failures_raise():
     P = 7
-    plane = (np.eye(2, dtype=np.int64), [0, 1])
-    # one eigenvalue with a line of eigenvectors, and x^2 + 1, which has no root mod 7
-    for R in ([[3, 1], [0, 3]], [[0, -1], [1, 0]]):
+    # a Jordan block, from a vector off its eigenline, and x^2 + 1, which has
+    # no root mod 7: a minimal polynomial with fewer roots than its degree
+    for R, w in (([[3, 1], [0, 3]], [0, 1]), ([[0, -1], [1, 0]], [1, 0])):
         with pytest.raises(CharTableError, match="not simultaneously diagonalizable"):
-            _split_space(plane, np.array(R) % P, P)
-    with pytest.raises(CharTableError, match="not invariant"):
-        _restrict(np.array([[0, 1], [1, 0]]), np.array([[1, 0]]), [0], P)
+            _split(np.array([w]), np.array(R) % P, P)
+    # two pieces of F_7^2 hold one character each, so neither minimal
+    # polynomial may have degree 2: no dependence shows within the bound
+    with pytest.raises(CharTableError, match="not simultaneously diagonalizable"):
+        _split(np.array([[1, 1], [1, 0]]), np.array([[1, 0], [0, 2]]), P)
     # the class data of cyclic:3: its central characters take the values of
     # the cube roots of unity, and x^2 + x + 1 has no root mod 5, so the
     # first split fails; mod 7 it splits
@@ -392,6 +380,47 @@ def test_splitting_failures_raise():
     message = r"^g: eigenspace splitting did not converge in 60 combinations \(P = 7\)$"
     with pytest.raises(CharTableError, match=message):
         _common_eigenvectors(np.arange(2), np.array([[0, 1], [0, 1]]), P, "g", 0)
+
+
+def test_the_identity_class_meets_every_central_character(build, catalog, monkeypatch):
+    # the split starts from e_0 and finds every character only if e_0 has a
+    # nonzero coefficient on each omega_chi: solving c Omega = e_0 for the
+    # central characters the split found must give c_chi = chi(1)^2 / n
+    from quadsym import chartab
+
+    found = []
+    original = chartab._common_eigenvectors
+    monkeypatch.setattr(chartab, "_common_eigenvectors", lambda *args: found.append(original(*args)) or found[-1])
+    benchmark = ["sym:7", "alt:7", "cyclic:11*sym:3", "dihedral:12*sym:4"]
+    labels = [label for label in catalog if build(label).S.m <= 64]
+    for label in dict.fromkeys(benchmark + labels):
+        b = build(label)
+        T = character_table(b.G, b.S, b.split, max_classes=64)
+        P, n = T.prime, b.G.n
+        # omega_chi at class j is h_j chi(g_j) / chi(1), from the table at z -> w
+        w = pow(primitive_root(P), (P - 1) // T.conductor, P)
+        chi = np.array(T.coeffs, dtype=np.int64) @ [pow(w, k, P) for k in range(T.coeffs.shape[-1])] % P
+        sizes = np.array([b.S.classes[j].size for j in T.class_order])
+        degree_inv = np.array([pow(d, -1, P) for d in T.degrees])
+        omegas = chi * sizes % P * degree_inv[:, None] % P
+        assert sorted(map(tuple, omegas.tolist())) == sorted(map(tuple, found[-1])), label
+        identity = (np.arange(T.m) == 0).astype(np.int64)
+        assert sizes[0] == 1, label  # column 0 is the identity class
+        c = rref_oracle(np.hstack([omegas.T, identity[:, None]]), P)[0][:, -1]
+        assert c.tolist() == [d * d * pow(n, -1, P) % P for d in T.degrees], label
+
+
+def test_the_table_keeps_its_coefficient_array(build):
+    # character_table leaves the int64 array it lifted in T.coeffs; a copy
+    # made by replace builds it again from its entries
+    for label in ["sym:5", "dihedral:12*sym:4"]:
+        b, T = table_for(build, label, max_classes=64)
+        assert "coeffs" in T.__dict__ and T.coeffs.dtype == np.int64
+        rebuilt = dataclasses.replace(T).coeffs
+        assert rebuilt is not T.coeffs and np.array_equal(rebuilt, T.coeffs)
+        rows = [list(row) for row in T.entries]
+        rows[-1][0] = rows[-1][0] + 1
+        assert dataclasses.replace(T, entries=tuple(map(tuple, rows))).coeffs[-1, 0, 0] == T.coeffs[-1, 0, 0] + 1
 
 
 def test_cycint_basics():
@@ -1179,7 +1208,7 @@ def library_report(b, max_classes=64):
 
 @pytest.mark.parametrize("label", ["cyclic:11*sym:3", "dihedral:12*sym:4"])
 def test_library_pipeline_matches_the_benchmark_reference(build, label):
-    # at seed 0 the tables take 8 and 9 splits at P = 67 and 61
+    # at seed 0 each table takes 2 combinations, at P = 67 and 61
     import hashlib
     import json
     from pathlib import Path
