@@ -18,16 +18,16 @@ other entry gains less than (P - 1)^2 per step, and c columns stay exact in
 int64 while c (P - 1)^2 + P < 2^63, which it asserts.
 
 The identities on a table are decided without arithmetic in Z[z]: for primes
-P = 1 mod e below 2^24, Phi_e splits mod P into the factors X - w^u (w of
-order e, u a unit mod e), so the phi(e) images under z -> w^u identify Z[z]/P
-with F_P^phi.  An element with coefficients of size at most B vanishes once
-its images vanish mod primes with product Q > 2B, and is recovered from them
-by interpolation and CRT.  With C_e = max over k of |z^k|_1, orthogonality
-takes B_orth = C_e * max sum_j h_j |chi_ij|_1 |chi_i2j|_1 + n for the rows
-alone: for the square table X, X H X* = n I gives X* X = n H^-1.  Once the
-column norms sum_i |chi_ij|^2 = c_j are decided, Hadamard bounds det at every
-embedding by (prod_j c_j)^(1/2), and Lagrange interpolation at the roots of
-Phi_e turns that into B_det (_det_bound).
+P = 1 mod e below 2^24, Phi_e splits mod P into the factors X - x_t, x_t = w^u
+(w of order e, u a unit mod e), so the phi(e) images under z -> x_t identify
+Z[z]/P with F_P^phi.  An element with coefficients of size at most B vanishes
+once its images vanish mod primes with product Q > 2B, and is recovered by
+CRT and Lagrange interpolation, each quotient Phi_e / (X - x_t) one cumulative
+sum as Phi_e(x_t) = 0.  With C_e = max_k |z^k|_1, orthogonality takes B_orth =
+C_e * max sum_j h_j |chi_ij|_1 |chi_i2j|_1 + n for the rows alone: for the
+square table X, X H X* = n I gives X* X = n H^-1.  Once the column norms
+sum_i |chi_ij|^2 = c_j are decided, Hadamard bounds det at every embedding by
+(prod_j c_j)^(1/2), and the interpolation turns that into B_det (_det_bound).
 
 Most embeddings are redundant (Isaacs, Character Theory of Finite Groups,
 1976): z -> z^a moves the image at u to the image at u * a, and it moves
@@ -98,18 +98,23 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 
 class _CycBasis:
-    """Reduction data for Z[z]/Phi_e(z): powers of z as coefficient rows."""
+    """Z[z]/Phi_e(z): row k of ``rows`` is z^k over the power basis, for k
+    below max(e, 2 phi - 1), in one int64 array; ``units`` are the units mod e."""
 
     def __init__(self, e: int):
         self.poly = cyclotomic_polynomial(e)
         phi = self.phi = len(self.poly) - 1
-        rows = [tuple(int(t == k) for t in range(phi)) for k in range(phi)]
-        for _ in range(phi, max(e - 1, 2 * phi - 2) + 1):
-            # z times the last row, with z^phi = -(poly[0] + ... + poly[phi-1] z^(phi-1))
-            prev = rows[-1]
-            rows.append(tuple((prev[t - 1] if t else 0) - prev[-1] * self.poly[t] for t in range(phi)))
-        self.pow_rows = tuple(rows)
-        self.root_norm = max(sum(map(abs, row)) for row in rows[:e])  # C_e
+        self.units = np.flatnonzero(np.gcd(np.arange(1, e + 1), e) == 1) + 1  # u in 1..e, for z -> w^u
+        self.unit_index = np.cumsum(np.gcd(np.arange(e), e) == 1) - 1  # each unit's index, by residue
+        rows = self.rows = np.eye(max(e, 2 * phi - 1), phi, dtype=np.int64)
+        tail = -np.array(self.poly[:phi])
+        for k in range(phi, len(rows)):
+            # z times row k - 1, with z^phi = -(poly[0] + ... + poly[phi-1] z^(phi-1))
+            np.multiply(tail, rows[k - 1, -1], out=rows[k])
+            rows[k, 1:] += rows[k - 1, :-1]
+        # C_e = max over k of |z^k|_1 (the rows past e repeat the first ones),
+        # a block at a time, with no temporary the size of the basis
+        self.root_norm = max(int(np.abs(rows[k : k + 64]).sum(axis=1).max()) for k in range(0, len(rows), 64))
 
 
 @lru_cache(maxsize=None)
@@ -119,9 +124,9 @@ def _basis(e: int) -> _CycBasis:
 
 def _reduce_product(prod: list[int], basis: _CycBasis) -> tuple[int, ...]:
     out = list(prod[: basis.phi]) + [0] * (basis.phi - len(prod))
-    for k in range(basis.phi, len(prod)):
+    for k, row in enumerate(basis.rows[basis.phi : len(prod)].tolist(), basis.phi):
         if prod[k]:
-            out = [x + prod[k] * r for x, r in zip(out, basis.pow_rows[k])]
+            out = [x + prod[k] * r for x, r in zip(out, row)]
     return tuple(out)
 
 
@@ -154,7 +159,7 @@ class CycInt:
 
     @staticmethod
     def root_power(e: int, k: int) -> "CycInt":
-        return CycInt(e, _basis(e).pow_rows[k % e])
+        return CycInt(e, tuple(_basis(e).rows[k % e].tolist()))
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -242,15 +247,10 @@ def galois_apply(z: CycInt, a: int) -> CycInt:
 # Galois embeddings mod P
 
 
-@lru_cache(maxsize=None)
-def _units(e: int) -> tuple[int, ...]:
-    return tuple(a for a in range(1, e + 1) if gcd(a, e) == 1)
-
-
 def _unit_perm(e: int, a: int) -> np.ndarray:
     """Embedding index t -> index of units[t] * a: the action of z -> z^a."""
-    units = np.array(_units(e))
-    return np.searchsorted(units, units * a % e)  # at e = 1, 1 * a % 1 = 0 finds the unit 1
+    basis = _basis(e)
+    return basis.unit_index[basis.units * a % e]
 
 
 @lru_cache(maxsize=None)
@@ -272,18 +272,14 @@ def _embedding_maps(e: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     phi = basis.phi
     w = pow(primitive_root(P), (P - 1) // e, P)
     powers = np.array([pow(w, t, P) for t in range(e)], dtype=np.int64)
-    units = np.array(_units(e))
-    vander = powers[np.outer(units, np.arange(phi)) % e]
-    # Lagrange: column t is (Phi_e / (X - x_t)) / Phi_e'(x_t), the quotient
-    # by synthetic division and Phi_e'(x_t) as that quotient at x_t
-    x = powers[units % e]
-    quot = np.empty((phi, phi), dtype=np.int64)
-    quot[phi - 1] = 1
-    for c in range(phi - 1, 0, -1):
-        quot[c - 1] = (basis.poly[c] + x * quot[c]) % P
-    deriv = np.zeros(phi, dtype=np.int64)
-    for c in range(phi - 1, -1, -1):
-        deriv = (deriv * x + quot[c]) % P
+    vander = powers[np.outer(basis.units, np.arange(phi)) % e]
+    # Lagrange: column t is q_t / Phi_e'(x_t), q_t = Phi_e / (X - x_t); as
+    # Phi_e(x_t) = 0, q_t[c] = -x_t^-(c+1) sum_{s <= c} poly[s] x_t^s, one
+    # cumulative sum, and Phi_e'(x_t) = q_t(x_t), one column sum
+    x = vander.T  # x[s, t] = x_t^s
+    quot = -np.cumsum(x * np.array(basis.poly[:phi])[:, None] % P, axis=0) % P
+    quot = quot * powers[np.outer(np.arange(1, phi + 1), -basis.units) % e] % P
+    deriv = (quot * x % P).sum(axis=0) % P
     interp = quot * np.array([pow(d, -1, P) for d in deriv.tolist()]) % P
     vander.setflags(write=False)
     interp.setflags(write=False)
@@ -583,9 +579,9 @@ def character_table(
                 f"{G.label}: eigenvalue multiplicity {mu[i, t]} exceeds the degree {degs[i]} "
                 f"(P = {P})"
             )
-        coeffs[:, j] = mu @ np.array([basis.pow_rows[step * t] for t in range(o)])
+        coeffs[:, j] = mu @ basis.rows[step * k]
     # by degree, the trivial character first, then by coefficients
-    trivial = (coeffs == basis.pow_rows[0]).all(axis=(1, 2))
+    trivial = (coeffs == basis.rows[0]).all(axis=(1, 2))
     order = sorted(range(m), key=lambda i: (degrees[i], not trivial[i], coeffs[i].tolist()))
     coeffs = coeffs[order]
     T = CharacterTable(
@@ -594,10 +590,10 @@ def character_table(
         prime=P,
         class_order=tuple(cols),
         degrees=tuple(degrees[i] for i in order),
-        entries=tuple(tuple(CycInt(e, tuple(z)) for z in row) for row in coeffs.tolist()),
+        entries=tuple(tuple(CycInt(e, tuple(z)) for z in row.tolist()) for row in coeffs),
         chains=chains,
     )
-    if np.abs(coeffs).max() < 2**31:  # what T.coeffs would build from the entries
+    if -(2**31) < coeffs.min() and coeffs.max() < 2**31:  # what T.coeffs would build from the entries
         T.__dict__["coeffs"] = coeffs
     return T
 
@@ -629,7 +625,7 @@ def _column_witness(G: GroupTable, S: ClassSet, T: CharacterTable, tests: Sequen
     e = T.conductor
     chains = T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
     primes = _primes(e, (_basis(e).root_norm + 1) * T.norms.max(), T.label)
-    E = _table_images(T, primes, np.arange(len(_units(e))))
+    E = _table_images(T, primes, np.arange(_basis(e).phi))
     for a in tests:
         moved = np.argwhere((E[:, _unit_perm(e, a)] != E[..., chains.at(a)]).any(axis=(0, 1)))
         if moved.size:
@@ -669,7 +665,7 @@ def _orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable, every: bool) -
     # by Cauchy-Schwarz, sum_j h_j |chi_aj|_1 |chi_bj|_1 is largest at some a = b
     sums = int((T.norms * T.norms * sizes).sum(axis=1).max())
     primes = np.array(_primes(e, _basis(e).root_norm * sums + n, T.label))
-    units = np.arange(len(_units(e)) if every else 1)  # index 0 is u = 1
+    units = np.arange(_basis(e).phi if every else 1)  # index 0 is u = 1
     E = _table_images(T, primes, units)
     conj = _table_images(T, primes, _unit_perm(e, -1)[units])
     P = primes.reshape(-1, 1, 1, 1)
@@ -726,7 +722,7 @@ def det_identities(
 
 def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discriminant, every: bool) -> DetReport:
     e, m = T.conductor, T.m
-    units = np.arange(len(_units(e)) if every else 1)  # index 0 is u = 1
+    units = np.arange(_basis(e).phi if every else 1)  # index 0 is u = 1
     centralizers = np.array([G.n // S.classes[j].size for j in T.class_order])
     # a column norm minus c_j has coefficients below C_e * sum_i |chi_ij|_1^2 + n
     col_bound = int(_basis(e).root_norm * (T.norms * T.norms).sum(axis=0).max() + G.n)
@@ -745,7 +741,7 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
         )
 
     sym = symbol_character(G, S)
-    tests = _units(e) if every else unit_generators(e)
+    tests = _basis(e).units.tolist() if every else unit_generators(e)
     det_primes = np.array(_primes(e, _det_bound(e, centralizers.tolist()), T.label))
     step = max(1, 2**22 // (len(units) * m * m))  # primes per elimination, about 32 MB of images
     chunks = [det_primes[k : k + step] for k in range(0, len(det_primes), step)]
@@ -753,7 +749,7 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
     dets = np.concatenate(dets).reshape(len(det_primes), len(units))
     if not every:  # z -> z^u permutes the columns by pi_u (_column_witness): det at u is sign(pi_u) det at 1
         chains = T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
-        pis = map(tuple, chains.at(np.array(_units(e))[:, None]).tolist())  # pi_u by unit; few differ
+        pis = map(tuple, chains.at(_basis(e).units[:, None]).tolist())  # pi_u by unit; few differ
         dets = np.array(list(map(lru_cache(None)(permutation_parity), pis))) * dets % det_primes[:, None]
     det = _lift(e, det_primes.tolist(), [T.images[P][0][1] for P in det_primes.tolist()], dets)
     checks = []

@@ -108,17 +108,17 @@ def _dtype(bound: int) -> type:
 class GroupTable:
     """A finite group with elements indexed 0..n-1 in encoding order.
 
-    ``elements`` holds the encodings (for printing and for building direct
-    products) and ``rows`` the same elements as an n x w integer array.
-    ``mul`` multiplies two arrays of rows, shapes (..., w) broadcast together,
-    and returns the product rows; ``identity`` and ``generators`` are
-    encodings.  Rows default to the flattened encodings.
+    ``rows`` holds the elements as an n x w integer array and ``elements``
+    their encodings, for printing: given as such (rows default to them
+    flattened), or as a function that decodes (k, w) rows into k encodings,
+    called on first read.  ``mul`` multiplies two arrays of rows, shapes
+    (..., w) broadcast together; ``identity`` and ``generators`` are encodings.
     """
 
     def __init__(
         self,
         label: str,
-        elements: Sequence[object],
+        elements: Sequence[object] | Callable[[np.ndarray], list],
         mul: Product,
         identity: object,
         generators: Sequence[object],
@@ -127,11 +127,15 @@ class GroupTable:
     ):
         self.label = label
         self.spec = spec
-        self.elements = tuple(elements)
-        self.n = len(self.elements)
-        if rows is None:
-            rows = np.array([_flat(x) for x in self.elements]).reshape(self.n, -1)
+        if callable(elements):
+            self._decode = elements
+        else:  # the encodings themselves: a row decodes to the one at its index
+            self.__dict__["elements"] = known = tuple(elements)
+            self._decode = lambda rows: [known[i] for i in self._locate(rows)[0].tolist()]
+            if rows is None:
+                rows = np.array([_flat(x) for x in known]).reshape(len(known), -1)
         self.rows = rows
+        self.n = len(rows)
         self._mul = mul
         self._init_slots(label)
         named = [identity, *generators]
@@ -141,6 +145,10 @@ class GroupTable:
         self.identity_index = int(found[0])
         self.generators = tuple(dict.fromkeys(found[1:].tolist())) or (self.identity_index,)
         self._init_orders()
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        return tuple(self._decode(self.rows))  # on first read
 
     def _init_slots(self, label: str) -> None:
         # linear probing in 2^bits >= 8n slots, each -1 or an element index;
@@ -409,11 +417,12 @@ def make_group(spec: GroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> GroupTabl
     rows = _close(np.array(gens, dtype), np.array(identity, dtype), mul, max_order, label)
     if len(rows) != order:
         raise GroupError(f"{label!r}: closure produced {len(rows)} elements, expected {order}")
-    if spec.family == "cyclic":
-        elements = rows[:, 0].tolist()
-    else:
-        elements = list(map(tuple, rows.tolist()))
-    return GroupTable(label, elements, mul, identity, gens, spec=spec, rows=rows)
+    decode = (lambda rows: rows[:, 0].tolist()) if spec.family == "cyclic" else _tuples
+    return GroupTable(label, decode, mul, identity, gens, spec=spec, rows=rows)
+
+
+def _tuples(rows: np.ndarray) -> list:
+    return list(map(tuple, rows.tolist()))
 
 
 def _make_perm_group(spec: PermSpec, label: str, max_order: int) -> GroupTable:
@@ -430,8 +439,7 @@ def _make_perm_group(spec: PermSpec, label: str, max_order: int) -> GroupTable:
         gens.append(images)
     dtype = _dtype(deg)
     rows = _close(np.array(gens, dtype), np.array(identity, dtype), _perm_mul, max_order, label)
-    elements = list(map(tuple, rows.tolist()))
-    return GroupTable(label, elements, _perm_mul, identity, gens, spec=spec, rows=rows)
+    return GroupTable(label, _tuples, _perm_mul, identity, gens, spec=spec, rows=rows)
 
 
 def direct_product(
@@ -451,14 +459,15 @@ def direct_product(
     rows = np.concatenate(
         [np.repeat(left.rows, right.n, axis=0), np.tile(right.rows, (left.n, 1))], axis=1
     )
-    elements = [(x, y) for x in left.elements for y in right.elements]
-    e_left, e_right = left.elements[left.identity_index], right.elements[right.identity_index]
-    gens = [(left.elements[g], e_right) for g in left.generators]
-    gens += [(e_left, right.elements[g]) for g in right.generators]
+    ldecode, rdecode = left._decode, right._decode
+    decode = lambda rows: list(zip(ldecode(rows[:, :w]), rdecode(rows[:, w:])))
+    e_left, *gl = ldecode(left.rows[[left.identity_index, *left.generators]])  # these only
+    e_right, *gr = rdecode(right.rows[[right.identity_index, *right.generators]])
+    gens = [(g, e_right) for g in gl] + [(e_left, g) for g in gr]
     spec = None
     if left.spec is not None and right.spec is not None:
         spec = ProductSpec(left.spec, right.spec)
-    return GroupTable(label, elements, mul, (e_left, e_right), gens, spec=spec, rows=rows)
+    return GroupTable(label, decode, mul, (e_left, e_right), gens, spec=spec, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from quadsym.chartab import (
     _split,
     _table_images,
     _unit_perm,
-    _units,
     character_table,
     cyclotomic_polynomial,
     det_identities,
@@ -85,6 +84,57 @@ def test_cyclotomic_polynomial_matches_sympy():
         poly = cyclotomic_polynomial(e)
         assert list(poly) == sympy.cyclotomic_poly(e, x, polys=True).all_coeffs()[::-1], e
         assert len(poly) - 1 == sympy.totient(e), e
+
+
+# Oracles: the power table and the Lagrange maps as they were built before
+# they became array operations, one tuple and one synthetic-division step at
+# a time.
+
+
+def basis_oracle(e):
+    """The rows z^k for k below max(e, 2 phi - 1), as tuples, and C_e."""
+    poly = cyclotomic_polynomial(e)
+    phi = len(poly) - 1
+    rows = [tuple(int(t == k) for t in range(phi)) for k in range(phi)]
+    for _ in range(phi, max(e - 1, 2 * phi - 2) + 1):
+        prev = rows[-1]
+        rows.append(tuple((prev[t - 1] if t else 0) - prev[-1] * poly[t] for t in range(phi)))
+    return rows, max(sum(map(abs, row)) for row in rows[:e])
+
+
+def embedding_maps_oracle(e, P):
+    """vander and interp mod P, the quotients Phi_e / (X - x_t) by synthetic
+    division and Phi_e'(x_t) as each quotient at x_t by Horner."""
+    poly = cyclotomic_polynomial(e)
+    phi = len(poly) - 1
+    w = pow(primitive_root(P), (P - 1) // e, P)
+    powers = np.array([pow(w, t, P) for t in range(e)], dtype=np.int64)
+    units = np.array([a for a in range(1, e + 1) if math.gcd(a, e) == 1])
+    vander = powers[np.outer(units, np.arange(phi)) % e]
+    x = powers[units % e]
+    quot = np.empty((phi, phi), dtype=np.int64)
+    quot[phi - 1] = 1
+    for c in range(phi - 1, 0, -1):
+        quot[c - 1] = (poly[c] + x * quot[c]) % P
+    deriv = np.zeros(phi, dtype=np.int64)
+    for c in range(phi - 1, -1, -1):
+        deriv = (deriv * x + quot[c]) % P
+    return vander, quot * np.array([pow(int(d), -1, P) for d in deriv]) % P
+
+
+def test_basis_and_embedding_maps_match_the_oracles():
+    for e in [*range(1, 201), 420, 2520]:
+        basis = _basis(e)
+        rows, root_norm = basis_oracle(e)
+        assert basis.rows.dtype == np.int64 and basis.rows.tolist() == [list(row) for row in rows], e
+        assert basis.root_norm == root_norm, e
+        assert basis.units.tolist() == [a for a in range(1, e + 1) if math.gcd(a, e) == 1], e
+        for P in (_embedding_prime(e, 0), _embedding_prime(e, 1)):
+            vander, interp = _embedding_maps(e, P)
+            want = embedding_maps_oracle(e, P)
+            assert np.array_equal(vander, want[0]) and np.array_equal(interp, want[1]), (e, P)
+            # every product below P^2 and phi of them summed stay in int64
+            assert np.array_equal(vander @ interp % P, np.eye(basis.phi, dtype=np.int64)), (e, P)
 
 
 # Oracles: the one-matrix-at-a-time reductions the stacked kernels replaced,
@@ -506,7 +556,7 @@ def modular_det(rows, e, bound, label):
     m = len(rows)
     T = CharacterTable(label, e, 0, tuple(range(m)), (1,) * m, tuple(map(tuple, rows)))
     primes = _primes(e, bound, label)
-    E = _table_images(T, primes, np.arange(len(_units(e))))
+    E = _table_images(T, primes, np.arange(len(_basis(e).units)))
     s = np.array([det_stack(images, P) for P, images in zip(primes, E)])
     return _lift(e, primes, [T.images[P][0][1] for P in primes], s), np.array(primes), s
 
@@ -547,7 +597,7 @@ def test_derivative_bound_is_below_the_discriminant():
     for e in range(1, 201):
         num, den = _derivative_bound(e)
         poly = np.array(cyclotomic_polynomial(e), dtype=float)
-        zetas = np.exp(2j * np.pi * np.array(_units(e)) / e)
+        zetas = np.exp(2j * np.pi * np.array(_basis(e).units) / e)
         deriv = np.polyval((poly * np.arange(len(poly)))[:0:-1], zetas)
         assert np.abs(deriv).min() >= num / den * (1 - 1e-9), e
 
@@ -796,7 +846,7 @@ def test_export_format(build):
 
 def test_unit_perm_acts_by_multiplication():
     for e in (1, 2, 3, 12, 30, 420):
-        units = _units(e)
+        units = _basis(e).units
         for a in (*units, -1, e + 1):
             want = [next(v for v in units if (v - a * u) % e == 0) for u in units]
             assert [units[t] for t in _unit_perm(e, a)] == want, (e, a)
@@ -823,6 +873,22 @@ def test_chartab_builds_the_power_chains_and_the_symbol_once(monkeypatch, capsys
         assert cli.main(["chartab", text, "--json"]) == 0
         assert calls == {"class_power_chains": 1, "symbol_character": 1}, text
     capsys.readouterr()
+
+
+def test_verify_and_chartab_never_decode_the_elements(monkeypatch, capsys):
+    # the encodings are for printing: neither pipeline reads them, so a
+    # fresh process never builds sym:7's 5040 tuples
+    import json
+
+    from quadsym import cli
+
+    made = []
+    monkeypatch.setattr(cli, "make_group", lambda *a, **kw: made.append(make_group(*a, **kw)) or made[-1])
+    for argv in (["verify", "sym:7", "--json"], ["chartab", "sym:7", "--json"]):
+        made.clear()
+        assert cli.main(argv) == 0, argv
+        assert [G.n for G in made] == [5040] and "elements" not in made[0].__dict__, argv
+        assert all(c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]), argv
 
 
 def test_chartab_builds_the_embedding_maps_once_per_prime(monkeypatch, capsys):
@@ -877,7 +943,7 @@ def test_table_images_are_kept_per_table(build):
     assert list(T.images) == [first, second]
     assert all(T.images[P][0] is _embedding_maps(126, P) for P in T.images)
     assert sorted(T.images[first][1]) == list(range(36))
-    assert sorted(_units(126)[t] for t in T.images[second][1]) == [1]
+    assert sorted(_basis(126).units[t] for t in T.images[second][1]) == [1]
     # each prime's image at a unit is computed once per table: det_identities
     # keeps what verify_orthogonality computed, and a second run adds nothing
     kept = record(T)
@@ -910,7 +976,7 @@ def test_det_is_eliminated_once_per_prime(build, monkeypatch):
     stacked.clear()
     assert not det_identities(b.G, b.S, b.split, bad, b.D).ok
     det_primes = _primes(5, _det_bound(5, [5] * 5), T.label)
-    assert bad.galois == [False] and sum(stacked) == len(det_primes) * len(_units(5)), stacked
+    assert bad.galois == [False] and sum(stacked) == len(det_primes) * len(_basis(5).units), stacked
 
 
 def test_galois_checks_compare_the_table_with_the_symbol(build, monkeypatch):
@@ -975,7 +1041,7 @@ def orthogonality_oracle(G, S, T):
     E = np.stack([E for _, _, E in found])
     P = primes.reshape(-1, 1, 1, 1)
     # the relations at -u are the transposes of those at u: half the units do
-    half = [t for t, u in enumerate(_units(e)) if 2 * (u % e) <= e]
+    half = [t for t, u in enumerate(_basis(e).units) if 2 * (u % e) <= e]
     E, conj = E[:, half], E[:, _unit_perm(e, -1)[half]]
     got = {
         "row": np.matmul(E * sizes % P, conj.swapaxes(-1, -2)) % P,
@@ -1051,7 +1117,7 @@ def det_identities_oracle(G, S, split, T, D):
     checks.append(_check("conjugate_det", conj_ok, f"conj(det) != ({sym(-1)}) * det"))
 
     galois_witness = column_witness = None
-    for a in _units(e):
+    for a in _basis(e).units:
         moved = (E[:, _unit_perm(e, a)] != E[..., chains.at(a)]).any(axis=(0, 1))
         if moved.any():
             i, j = np.argwhere(moved)[0]
@@ -1080,7 +1146,7 @@ def galois_oracle(b, T):
     """Whether z -> z^a moves column j to column chains.at(a)[j] at every
     unit a, in exact arithmetic."""
     chains = class_power_chains(b.G, b.S).relabel(T.class_order)
-    units = _units(T.conductor)
+    units = _basis(T.conductor).units
     moved = (galois_apply(row[j], a) == row[chains.at(a)[j]] for a in units for row in T.entries for j in range(T.m))
     return all(moved)
 
@@ -1097,7 +1163,7 @@ def assert_checks_match_the_oracles(b, T):
     assert outcome(det_identities, b.G, b.S, b.split, shared, b.D) == want_det, T.label
     # the Galois action the checks decided at the generators, against every
     # unit in exact arithmetic, where that is quick
-    if len(_units(T.conductor)) * T.m**2 <= 5000:
+    if len(_basis(T.conductor).units) * T.m**2 <= 5000:
         assert shared.galois == [galois_oracle(b, T)], T.label
     return want_orth, want_det
 

@@ -21,7 +21,7 @@ from quadsym.groups import (
     _permutation_rows,
     verify_axioms,
 )
-from quadsym.groupspec import parse_group_spec
+from quadsym.groupspec import FamilySpec, ProductSpec, parse_group_spec
 
 
 def group(text, **kw):
@@ -244,6 +244,33 @@ def test_elements_sorted_by_encoding():
     for text in ["cyclic:6", "dihedral:4", "sym:4", "q8"]:
         G = group(text)
         assert list(G.elements) == sorted(G.elements)
+
+
+def eager_elements(spec):
+    """The encodings as make_group built them before they were decoded on
+    first read: the rows' entries as Python ints (a cyclic group's one int
+    per element), and a product's pairs from its factors, left then right."""
+    if isinstance(spec, ProductSpec):
+        return [(x, y) for x in eager_elements(spec.left) for y in eager_elements(spec.right)]
+    rows = make_group(spec).rows
+    if isinstance(spec, FamilySpec) and spec.family == "cyclic":
+        return rows[:, 0].tolist()
+    return list(map(tuple, rows.tolist()))
+
+
+def test_elements_are_decoded_on_first_read():
+    for text in [*default_catalog(), "cyclic:11*sym:3", "dihedral:12*sym:4", "sl2:4*cyclic:64"]:
+        G = group(text)
+        assert "elements" not in G.__dict__, text
+        want = tuple(eager_elements(G.spec))
+        # repr tells int from np.int64 and tuple from list at every depth
+        assert G.elements == want and repr(G.elements) == repr(want), text
+        assert G.elements is G.elements, text
+    # a product of a group given by its encodings decodes through the lookup
+    loop = GroupTable("c3", [5, 6, 7], lambda a, b: (a + b - 10) % 3 + 5, 5, [6])
+    P = direct_product(group("cyclic:2"), loop)
+    assert P.elements == ((0, 5), (0, 6), (0, 7), (1, 5), (1, 6), (1, 7))
+    assert P.elements[P.generators[0]] == (1, 5) and P.elements[P.identity_index] == (0, 5)
 
 
 def test_perm_generator_composition_order():
