@@ -11,11 +11,14 @@ polynomial, read from the Krylov sequence w, R w, R^2 w, ... (Wiedemann,
 1986) and scanned by one Horner pass over all of F_P, until there are m
 pieces.  We then recover each entry exactly: the eigenvalue multiplicities
 of a representation at a group element are small nonnegative integers, so
-knowing them mod a large enough P pins them down.  One stacked Gauss-Jordan
-elimination mod P (_rref_stack) gives both the Krylov dependences and the
-determinants; it reduces only the pivot row and column at each step, so any
-other entry gains less than (P - 1)^2 per step, and c columns stay exact in
-int64 while c (P - 1)^2 + P < 2^63, which it asserts.
+knowing them mod a large enough P pins them down; they are a discrete
+Fourier transform along the powers of the class representative, one batched
+product for the columns of each element order.  One stacked Gauss-Jordan
+elimination mod P (_rref_stack) gives both the Krylov dependences, stopped
+at the last column a split reads, and the determinants; it reduces only the
+pivot row and column at each step, so any other entry gains less than
+(P - 1)^2 per step, and c columns stay exact in int64 while
+c (P - 1)^2 + P < 2^63, which it asserts.
 
 The identities on a table are decided without arithmetic in Z[z]: for primes
 P = 1 mod e below 2^24, Phi_e splits mod P into the factors X - x_t, x_t = w^u
@@ -263,6 +266,15 @@ def _embedding_prime(e: int, k: int) -> Optional[int]:
     return P if P > e else None
 
 
+def _power_table(w: int, e: int, P: int) -> np.ndarray:
+    """w^t mod P for t < e, by doubling: powers[k:2k] = powers[:k] w^k."""
+    powers, k = np.ones(e, dtype=np.int64), 1
+    while k < e:
+        powers[k : 2 * k] = powers[: min(k, e - k)] * pow(w, k, P) % P
+        k *= 2
+    return powers
+
+
 @lru_cache(maxsize=None)
 def _embedding_maps(e: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     """vander[t, k] = w^(units[t] * k) mod P, which maps the power basis to
@@ -270,8 +282,7 @@ def _embedding_maps(e: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     them to every caller."""
     basis = _basis(e)
     phi = basis.phi
-    w = pow(primitive_root(P), (P - 1) // e, P)
-    powers = np.array([pow(w, t, P) for t in range(e)], dtype=np.int64)
+    powers = _power_table(pow(primitive_root(P), (P - 1) // e, P), e, P)
     vander = powers[np.outer(basis.units, np.arange(phi)) % e]
     # Lagrange: column t is q_t / Phi_e'(x_t), q_t = Phi_e / (X - x_t); as
     # Phi_e(x_t) = 0, q_t[c] = -x_t^-(c+1) sum_{s <= c} poly[s] x_t^s, one
@@ -347,12 +358,13 @@ def _lift(e: int, primes: Sequence[int], interps: Sequence[np.ndarray], s: np.nd
 # linear algebra mod P
 
 
-def _rref_stack(A: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
+def _rref_stack(A: np.ndarray, P, until_free: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms of a stack of matrices with entries in
     [0, P), matrix k mod P[k] (or all mod one P), in place and all at once.
     Returns which columns of each hold a pivot, and each determinant: the
     product of the pivots, negated per row swap, and 0 once a column has no
-    pivot, which is det for a square matrix.
+    pivot, which is det for a square matrix.  ``until_free`` stops once every
+    matrix has had a column without a pivot, the later columns unreduced.
 
     At each column every matrix takes its own pivot row, swaps it up to its
     rank, scales it by the pivot's inverse and clears the column in every
@@ -389,6 +401,8 @@ def _rref_stack(A: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
         A[:, :, k + 1 :] += np.where(clear, -col % Pc, 0)[:, :, None] * row[:, None]
         A[:, :, k] = np.where(clear, 0, col)
         rank += found
+        if until_free and not has[:, : k + 1].all(axis=1).any():
+            break
     return has, np.where(odd, -det % P, det)
 
 
@@ -398,9 +412,9 @@ def _split(pieces: np.ndarray, R: np.ndarray, P: int) -> np.ndarray:
 
     A piece is a sum of central characters with nonzero coefficients, so
     q(R) w keeps the terms of eigenvalue lam, each times q(lam) != 0.  mu is
-    read from the first column without a pivot in the reduced Krylov stack
-    w, R w, R^2 w, ...; p pieces share m characters, so it has degree at
-    most m - p + 1, and it must have that many distinct roots in F_P.
+    read from the first column without a pivot in the Krylov stack w, R w,
+    R^2 w, ..., reduced that far; p pieces share m characters, so it has
+    degree at most m - p + 1, and it must have that many distinct roots.
     """
     p, m = pieces.shape
     krylov = np.empty((p, m - p + 2, m), dtype=np.int64)
@@ -408,7 +422,7 @@ def _split(pieces: np.ndarray, R: np.ndarray, P: int) -> np.ndarray:
     for k in range(1, m - p + 2):
         krylov[:, k] = krylov[:, k - 1] @ R.T % P
     stack = krylov.transpose(0, 2, 1).copy()
-    has, _ = _rref_stack(stack, P)
+    has, _ = _rref_stack(stack, P, until_free=True)
     deg = has.argmin(axis=1)  # R^deg w is the first power in the span of the ones before
     d = int(deg.max())
     mu = np.zeros((p, d + 1), dtype=np.int64)  # constant first
@@ -534,7 +548,7 @@ def character_table(
     chains = class_power_chains(G, S).relabel(cols)
 
     P = _choose_prime(e, n)
-    cls_pos = np.array([pos[S.class_of[x]] for x in range(n)])
+    cls_pos = np.argsort(cols)[np.array(S.class_of)]  # each element's column
     targets = cls_pos[G.multiply_many(np.array(G.inverse)[:, None], reps)]
     omegas = _common_eigenvectors(cls_pos, targets, P, G.label, seed)
     # each vector leads with 1, so it is the central character unless it is
@@ -542,44 +556,44 @@ def character_table(
     if any(w[0] != 1 for w in omegas):
         raise CharTableError(f"{G.label}: a central character vanishes on the identity class (P = {P})")
 
-    size_inv = [pow(h, -1, P) for h in sizes]
+    size_inv, W = [pow(h, -1, P) for h in sizes], np.array(omegas)
+    roots = {r * r % P: r for r in range((P + 1) // 2)}  # each square's root below P / 2
     degrees = []
-    for w in omegas:
-        s = sum(w[j] * w[inv_pos[j]] * size_inv[j] for j in range(m)) % P
+    for s in ((W * W[:, inv_pos] % P * size_inv % P).sum(axis=1) % P).tolist():
         if s == 0:
             raise CharTableError(f"{G.label}: a degree sum vanished (P = {P})")
         d2 = n * pow(s, -1, P) % P
-        deg = next((r for r in range((P + 1) // 2) if r * r % P == d2), None)
-        if deg is None:
+        if d2 not in roots:
             raise CharTableError(f"{G.label}: the squared degree {d2} is not a square (P = {P})")
-        degrees.append(deg)
+        degrees.append(roots[d2])
     if sum(d * d for d in degrees) != n:
         raise CharTableError(f"{G.label}: degrees {degrees} are inconsistent with n={n} (P = {P})")
 
     # every int64 dot product here and in the splitting sums at most
     # max(e, m) products of residues
     assert max(e, m) * (P - 1) ** 2 < 2**63, (e, m, P)
-    inv_root_e = pow(primitive_root(P), -((P - 1) // e), P)
-    inv_powers = np.array([pow(inv_root_e, t, P) for t in range(e)], dtype=np.int64)
+    inv_powers = _power_table(pow(primitive_root(P), -((P - 1) // e), P), e, P)
     basis = _basis(e)
     degs = np.array(degrees)
-    chi_mod = degs[:, None] * np.array(omegas) % P * size_inv % P
+    chi_mod = degs[:, None] * W % P * size_inv % P
     coeffs = np.empty((m, m, basis.phi), dtype=np.int64)
-    for j in range(m):
-        # mu[i, k]: the multiplicity of w^(step * k) as an eigenvalue of
-        # character i at rep_j, a discrete Fourier coefficient along its powers
-        o = len(chains[j])
+    over = []  # per block, the first (column, multiplicity, degree) with a multiplicity above the degree
+    for o in sorted(set(chains.order.tolist())):
+        # mu[i, j, k]: the multiplicity of w^(step * k) as an eigenvalue of
+        # character i at rep_j, a discrete Fourier coefficient along its
+        # powers; one product for the columns of order o, a block at a time
         step, k = e // o, np.arange(o)
-        mu = chi_mod[:, chains[j]] @ inv_powers[np.outer(k, k) * step % e] % P
-        mu = mu * pow(o, -1, P) % P
-        over = np.argwhere(mu > degs[:, None])
-        if over.size:
-            i, t = over[0]
-            raise CharTableError(
-                f"{G.label}: eigenvalue multiplicity {mu[i, t]} exceeds the degree {degs[i]} "
-                f"(P = {P})"
-            )
-        coeffs[:, j] = mu @ basis.rows[step * k]
+        dft = inv_powers[np.outer(k, k) * step % e] * pow(o, -1, P) % P
+        same, block = np.flatnonzero(chains.order == o), max(1, 2**18 // (m * o))  # 2 MB a product
+        for J in (same[s : s + block] for s in range(0, len(same), block)):
+            mu = chi_mod[:, chains.flat[chains.start[J, None] + k]] @ dft % P
+            bad = np.argwhere(mu.swapaxes(0, 1) > degs[:, None])[:1]  # the block's first, in column order
+            over += [(J[j], mu[i, j, t], degs[i]) for j, i, t in bad]
+            coeffs[:, J] = mu @ basis.rows[step * k]
+    del mu  # a block's worth, before the entries set the peak
+    if over:
+        _, mu, deg = min(over)
+        raise CharTableError(f"{G.label}: eigenvalue multiplicity {mu} exceeds the degree {deg} (P = {P})")
     # by degree, the trivial character first, then by coefficients
     trivial = (coeffs == basis.rows[0]).all(axis=(1, 2))
     order = sorted(range(m), key=lambda i: (degrees[i], not trivial[i], coeffs[i].tolist()))
@@ -609,10 +623,12 @@ def _table_images(T: CharacterTable, primes: Sequence[int], units: np.ndarray) -
         new = [t for t in units.tolist() if t not in found]
         if new:
             # every int64 dot product here and in the checks sums at most
-            # max(phi, m) products of residues
+            # max(phi, m) products of residues; only the powers of z that
+            # some entry uses take part (a rational table: z^0 alone)
             assert max(vander.shape[1], m) * (P - 1) ** 2 < 2**63, (vander.shape, m, P)
             flat = (T.coeffs.reshape(m * m, -1) % P).astype(np.int64, copy=False)
-            found.update(zip(new, (vander[new] @ flat.T % P).reshape(len(new), m, m)))
+            used = np.flatnonzero(flat.any(axis=0))
+            found.update(zip(new, (vander[new][:, used] @ flat[:, used].T % P).reshape(len(new), m, m)))
         out.append([found[t] for t in units.tolist()])
     return np.array(out, dtype=np.int64).reshape(len(out), len(units), m, m)
 

@@ -209,21 +209,19 @@ def _cmd_chartab(args) -> int:
         "prime": T.prime,
         "class_order": list(T.class_order),
         "degrees": list(T.degrees),
-        "rows": [[list(z.coeffs) for z in row] for row in T.entries],
+        "rows": T.coeffs.tolist(),  # the entries' coefficients, as the same ints
         "det_squared": det.det_squared,
         "ell": det.ell,
         "d": D.value.decimal(),
         "checks": _checks_json(det.checks),
     }
-    human = [
+    human = [] if args.json else [  # the text, export_table's included, only when printed
         f"{G.label}: m={T.m} conductor={T.conductor} prime={T.prime} degrees={list(T.degrees)}",
         f"columns (class indices): {list(T.class_order)}",
         chartab.export_table(T).rstrip("\n"),
         f"det^2 = {det.det_squared} = {det.ell}^2 * ({D.value.decimal()})",
+        *(f"  {c.name}: {'ok' if c.ok else f'FAILED ({c.witness})'}" for c in det.checks),
     ]
-    for c in det.checks:
-        mark = "ok" if c.ok else f"FAILED ({c.witness})"
-        human.append(f"  {c.name}: {mark}")
     _emit(args, obj, "\n".join(human))
     return EXIT_OK if det.ok else EXIT_CHECK_FAILED
 

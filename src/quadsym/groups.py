@@ -16,7 +16,8 @@ its bytes, in an open-addressing hash table: so orders, classes, power maps,
 the axiom check and the closure multiply whole arrays at once.
 
 ``class_power_chains`` tabulates the class power map at every exponent in one
-array, for chartab alone; ``class_power_map`` answers one exponent.
+array, by doubling, for chartab alone; ``class_power_map`` answers one
+exponent, or several from one square-and-multiply ladder (``power_many``).
 """
 from __future__ import annotations
 
@@ -213,16 +214,17 @@ class GroupTable:
         return found
 
     def power_many(self, I, k) -> np.ndarray:
-        """Indices of I[t] ** k, for one exponent 0 <= k, by squaring."""
-        base = np.array(I, dtype=np.intp)
-        out = np.full_like(base, self.identity_index)
-        while k:
-            if k & 1:
-                out = self.multiply_many(out, base)
-            k >>= 1
-            if k:
+        """Indices of I ** k for one exponent 0 <= k, or, for a list of them,
+        of I ** k[s] at row s: one square-and-multiply, the squares shared."""
+        ks, base = k if isinstance(k, list) else [k], np.array(I, dtype=np.intp)
+        out = np.full((len(ks),) + base.shape, self.identity_index)
+        for bit in range(int(max(ks, default=0)).bit_length()):
+            if bit:
                 base = self.multiply_many(base, base)
-        return out
+            odd = [s for s, x in enumerate(ks) if x >> bit & 1]
+            if odd:
+                out[odd] = self.multiply_many(out[odd], base)
+        return out if isinstance(k, list) else out[0]
 
     def _init_orders(self) -> None:
         # powers of every element at once; an element leaves when it reaches e
@@ -258,7 +260,8 @@ class GroupTable:
         return int(self.power_many(i, k % self.element_order[i]))
 
     def element_repr(self, i: int) -> str:
-        return str(self.elements[i])
+        known = self.__dict__.get("elements")  # else row i alone is decoded
+        return str(known[i] if known is not None else self._decode(self.rows[i : i + 1])[0])
 
 
 def _close(
@@ -578,31 +581,34 @@ class PowerChains:
 
 
 def class_power_chains(G: GroupTable, S: ClassSet) -> PowerChains:
-    """Every class's power chain, one batched product per step: step t stores
-    the classes of rep^t for each class whose order exceeds t."""
+    """Every class's power chain, by doubling: once rep^0, ..., rep^k are
+    known, rep^(k + t) = rep^t rep^k for 0 < t <= k, one batched product per
+    step over the classes whose order exceeds k + 1."""
     class_of = np.array(S.class_of)
-    reps = np.array([c.rep for c in S.classes])
     order = np.array([c.rep_order for c in S.classes])
+    powers = np.empty((S.m, 2 * order.max()), dtype=np.intp)
+    powers[:, 0] = G.identity_index
+    powers[:, 1] = [c.rep for c in S.classes]
+    k = 1
+    while k + 1 < order.max():
+        live = np.flatnonzero(order > k + 1)
+        powers[live, k + 1 : 2 * k + 1] = G.multiply_many(powers[live, 1 : k + 1], powers[live, k, None])
+        k *= 2
     start = np.cumsum(order) - order
-    flat = np.empty(order.sum(), dtype=np.intp)
-    live = np.arange(S.m)
-    cur = np.full(S.m, G.identity_index)
-    for t in range(order.max()):
-        flat[start[live] + t] = class_of[cur]
-        keep = order[live] > t + 1
-        live = live[keep]
-        cur = G.multiply_many(cur[keep], reps[live])
-    return PowerChains(flat, start, order)
+    return PowerChains(class_of[powers[np.arange(powers.shape[1]) < order[:, None]]], start, order)
 
 
-def class_power_map(G: GroupTable, S: ClassSet, a: int) -> tuple[int, ...]:
+def class_power_map(G: GroupTable, S: ClassSet, a):
     """The permutation j -> class of (rep_j)^a, for a coprime to the order, one
-    power per class: the symbol's path (only chartab reads the power chains)."""
-    b = a % G.n if G.n > 0 else 0
-    if math.gcd(b, G.n) != 1:
-        raise ValueError(f"{a} is not coprime to the group order {G.n}")
-    powers = G.power_many([c.rep for c in S.classes], b)
-    return tuple(S.class_of[x] for x in powers.tolist())
+    power per class: the symbol's path (only chartab reads the power chains).
+    For a list or tuple of exponents, a list of these, from one ladder."""
+    several = isinstance(a, (list, tuple))
+    for x in a if several else [a]:
+        if math.gcd(x, G.n) != 1:
+            raise ValueError(f"{x} is not coprime to the group order {G.n}")
+    powers = G.power_many([c.rep for c in S.classes], [x % G.n for x in (a if several else [a])])
+    maps = [tuple(S.class_of[x] for x in row) for row in powers.tolist()]
+    return maps if several else maps[0]
 
 
 def permutation_parity(p: Sequence[int]) -> int:

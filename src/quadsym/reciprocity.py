@@ -94,15 +94,17 @@ def symbol_character(G: GroupTable, S: ClassSet) -> SymbolCharacter:
     """Tabulate the symbol over a full period 0..n-1.
 
     rep^a depends only on a mod the exponent e, and pi_ab = pi_a pi_b, so the
-    symbol is a character of (Z/e)^x.  Each of ``unit_generators(e)`` extends
-    the subgroup found so far coset by coset, chi(h g^k) = chi(h) (g/G)^k,
-    until g^k is back in it; any generating set will do.  As n and e share
-    their primes, every other residue is off the units and gets 0.
+    symbol is a character of (Z/e)^x.  Each of ``unit_generators(e)``, their
+    power maps from one ladder, extends the subgroup found so far coset by
+    coset, chi(h g^k) = chi(h) (g/G)^k, until g^k is back in it; any
+    generating set will do.  As n and e share their primes, every other
+    residue is off the units and gets 0.
     """
     e = G.exponent
     chi = {1 % e: 1}
-    for g in unit_generators(e):
-        s, subgroup = quadratic_symbol(G, S, g), list(chi.items())
+    gens = unit_generators(e)
+    for g, pi in zip(gens, class_power_map(G, S, gens)):
+        s, subgroup = permutation_parity(pi), list(chi.items())
         x, v = g, s
         while x not in chi:
             chi.update((h * x % e, c * v) for h, c in subgroup)

@@ -20,6 +20,7 @@ from quadsym.chartab import (
     _embedding_maps,
     _embedding_prime,
     _lift,
+    _power_table,
     _primes,
     _rref_stack,
     _split,
@@ -32,7 +33,7 @@ from quadsym.chartab import (
     galois_apply,
     verify_orthogonality,
 )
-from quadsym.groups import OrderCapExceeded, class_power_chains, conjugacy_classes, make_group
+from quadsym.groups import OrderCapExceeded, PowerChains, class_power_chains, conjugacy_classes, make_group
 from quadsym.groupspec import parse_group_spec
 from quadsym.ntheory import factorize, fundamental_discriminant, primitive_root
 from quadsym.reciprocity import CheckResult, _check, discriminant, real_complex_split, symbol_character
@@ -135,6 +136,17 @@ def test_basis_and_embedding_maps_match_the_oracles():
             assert np.array_equal(vander, want[0]) and np.array_equal(interp, want[1]), (e, P)
             # every product below P^2 and phi of them summed stay in int64
             assert np.array_equal(vander @ interp % P, np.eye(basis.phi, dtype=np.int64)), (e, P)
+
+
+def test_power_table_matches_pow():
+    # the powers of a root of unity by doubling, as _embedding_maps and
+    # character_table take them, against one pow per exponent
+    for e in [*range(1, 201), 420, 2520]:
+        P = _embedding_prime(e, 0)
+        w = pow(primitive_root(P), (P - 1) // e, P)
+        for root in (w, pow(w, -1, P)):
+            got = _power_table(root, e, P)
+            assert got.dtype == np.int64 and got.tolist() == [pow(root, t, P) for t in range(e)], e
 
 
 # Oracles: the one-matrix-at-a-time reductions the stacked kernels replaced,
@@ -312,6 +324,51 @@ def test_det_stack_at_the_headroom_bound():
         _rref_stack(np.zeros((2, 1, big), dtype=np.int64), np.array([3, P]))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(PRIMES), st.integers(1, 4), st.integers(1, 7), st.integers(1, 8), st.integers(0, 2**32 - 1)
+)
+def test_rref_stack_until_free_reduces_up_to_each_first_free_column(P, b, r, c, seed):
+    # stopped once every matrix has a column without a pivot, the stack
+    # agrees with the full reduction up to each matrix's first such column,
+    # which is all that _split reads
+    A = awkward_stack(np.random.default_rng(seed), b, r, c, P)
+    full, stopped = A.copy(), A.copy()
+    has, _ = _rref_stack(full, P)
+    got, _ = _rref_stack(stopped, P, until_free=True)
+    for s in range(b):
+        first = int(has[s].argmin()) if not has[s].all() else c - 1
+        assert (got[s, : first + 1] == has[s, : first + 1]).all()
+        assert (stopped[s, :, : first + 1] == full[s, :, : first + 1]).all()
+    if has.all(axis=1).any():  # some matrix never has a free column: no stop
+        assert (got == has).all() and (stopped == full).all()
+    else:  # no pivot is looked for past the last first free column
+        assert not got[:, int(has.argmin(axis=1).max()) + 1 :].any()
+
+
+def test_splits_reduce_only_the_krylov_columns_they_read(build, monkeypatch):
+    # each split reduces its Krylov stack up to the last piece's first
+    # column without a pivot, and no further: at the benchmark's seed, 43 of
+    # the 61 columns on dihedral:12*sym:4 and 32 of 41 on cyclic:11*sym:3
+    from quadsym import chartab
+
+    reduced = []
+    original = chartab._rref_stack
+
+    def counting(A, P, **kw):
+        has, det = original(A, P, **kw)
+        assert kw == {"until_free": True}
+        reduced.append((A.shape[2], int(has.argmin(axis=1).max()) + 1))
+        return has, det
+
+    monkeypatch.setattr(chartab, "_rref_stack", counting)
+    for label, want in [("dihedral:12*sym:4", (61, 43)), ("cyclic:11*sym:3", (41, 32))]:
+        reduced.clear()
+        b = build(label)
+        character_table(b.G, b.S, b.split, seed=1, max_classes=64)
+        assert tuple(map(sum, zip(*reduced))) == want, (label, reduced)
+
+
 def test_split_with_a_repeated_root():
     # R has eigenvalues 2, 2, 5 on a 3-dimensional invariant subspace of
     # F_P^5 and 3, 3 off it: a vector in the subspace splits into its parts
@@ -347,10 +404,10 @@ def test_each_split_runs_one_elimination(build, monkeypatch):
     calls = draws = 0
     rref_stack, seeded_rng = chartab._rref_stack, chartab._seeded_rng
 
-    def counting_rref_stack(A, P):
+    def counting_rref_stack(A, P, **kw):
         nonlocal calls
         calls += 1
-        return rref_stack(A, P)
+        return rref_stack(A, P, **kw)
 
     class CountingRng:
         def __init__(self, rng):
@@ -844,6 +901,57 @@ def test_export_format(build):
     assert lines[0] == "[1,0,0,0] [1,0,0,0] [1,0,0,0] [1,0,0,0] [1,0,0,0]"
 
 
+def test_multiplicity_errors_name_the_first_column(build, monkeypatch):
+    # the multiplicities come from one product per element order, but a
+    # multiplicity above its degree is reported for the first failing column
+    # in column order, as the column-at-a-time loop did.  In q8*cyclic:3 the
+    # real class 4 (order 4) is column 2 and the complex class 2 (order 3)
+    # column 5; a wrong rep^1 in a chain breaks that column's DFT
+    from quadsym import chartab
+
+    b = build("q8*cyclic:3")
+    assert [b.split.order.index(j) for j in (4, 2)] == [2, 5]
+    assert [b.S.classes[j].rep_order for j in (4, 2)] == [4, 3]
+
+    def corrupted(*bad):
+        def chains(G, S):
+            good = class_power_chains(G, S)
+            flat = good.flat.copy()
+            flat[good.start[list(bad)] + 1] = 0
+            return PowerChains(flat, good.start, good.order)
+
+        return chains
+
+    message = "q8*cyclic:3: eigenvalue multiplicity {} exceeds the degree 1 (P = 13)"
+    for bad, value in [((4,), 7), ((2,), 8), ((4, 2), 7), ((2, 4), 7)]:
+        monkeypatch.setattr(chartab, "class_power_chains", corrupted(*bad))
+        with pytest.raises(CharTableError) as info:
+            character_table(b.G, b.S, b.split)
+        assert str(info.value) == message.format(value), bad
+
+
+def test_table_images_use_only_the_powers_that_occur():
+    # images of random tables at the largest P = 1 mod e below 2^24, for
+    # phi = 96 and 576, with some powers of z in no entry, against the full
+    # int64 product over every power
+    rng = np.random.default_rng(59)
+    for e, m in [(420, 5), (2520, 3)]:
+        phi = _basis(e).phi
+        P = _embedding_prime(e, 0)
+        vander, _ = _embedding_maps(e, P)
+        for unused in (0.0, 0.5, 1.0):
+            coeffs = rng.integers(-(2**40), 2**40, (m, m, phi)) * (rng.random(phi) >= unused)
+            coeffs[0, 0, 0] = 7  # one power, z^0, at least
+            coeffs[-1, -1, rng.integers(phi)] = -3  # a power, maybe in the last entry only
+            T = CharacterTable("t", e, 0, tuple(range(m)), (1,) * m, tuple(
+                tuple(CycInt(e, tuple(z)) for z in row) for row in coeffs.tolist()
+            ))
+            units = rng.permutation(phi)[: phi // 2]
+            want = vander[units] @ (coeffs.reshape(m * m, phi) % P).T % P
+            got = _table_images(T, [P], units)
+            assert got.shape == (1, len(units), m, m) and (got[0].reshape(len(units), -1) == want).all(), (e, unused)
+
+
 def test_unit_perm_acts_by_multiplication():
     for e in (1, 2, 3, 12, 30, 420):
         units = _basis(e).units
@@ -877,18 +985,22 @@ def test_chartab_builds_the_power_chains_and_the_symbol_once(monkeypatch, capsys
 
 def test_verify_and_chartab_never_decode_the_elements(monkeypatch, capsys):
     # the encodings are for printing: neither pipeline reads them, so a
-    # fresh process never builds sym:7's 5040 tuples
+    # fresh process never builds sym:7's 5040 tuples; classes prints the
+    # representatives and decodes those rows alone
     import json
 
     from quadsym import cli
 
     made = []
     monkeypatch.setattr(cli, "make_group", lambda *a, **kw: made.append(make_group(*a, **kw)) or made[-1])
-    for argv in (["verify", "sym:7", "--json"], ["chartab", "sym:7", "--json"]):
+    for argv in (["verify", "sym:7", "--json"], ["chartab", "sym:7", "--json"], ["classes", "sym:7", "--json"]):
         made.clear()
         assert cli.main(argv) == 0, argv
         assert [G.n for G in made] == [5040] and "elements" not in made[0].__dict__, argv
-        assert all(c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]), argv
+        out = json.loads(capsys.readouterr().out)
+        assert all(c["ok"] for c in out.get("checks", [])), argv
+    reps = [str(made[0].elements[c.rep]) for c in conjugacy_classes(made[0]).classes]
+    assert [c["rep"] for c in out["classes"]] == reps
 
 
 def test_chartab_builds_the_embedding_maps_once_per_prime(monkeypatch, capsys):
@@ -963,7 +1075,7 @@ def test_det_is_eliminated_once_per_prime(build, monkeypatch):
 
     stacked = []
     original = chartab._rref_stack
-    monkeypatch.setattr(chartab, "_rref_stack", lambda A, P: stacked.append(len(A)) or original(A, P))
+    monkeypatch.setattr(chartab, "_rref_stack", lambda A, P, **kw: stacked.append(len(A)) or original(A, P, **kw))
     for label, want in [("sym:7", 3), ("sl2:8", 2)]:
         b, T = table_for(build, label)
         stacked.clear()
@@ -983,25 +1095,34 @@ def test_galois_checks_compare_the_table_with_the_symbol(build, monkeypatch):
     # on the few-units path det at u is sign(pi_u) * det at 1, pi_u from the
     # power chains the table's columns were checked against; the symbol is
     # read from class_power_map, so a symbol flipped at a generator of
-    # (Z/e)^x, a character still, fails there and on the every-unit path
+    # (Z/e)^x, a character still, fails there and on the every-unit path.
+    # The flip swaps two classes in pi_g, which negates its sign, in what
+    # class_power_map gives for g alone and in the one ladder over all the
+    # generators that symbol_character asks it for.
     from quadsym import chartab, reciprocity
 
-    original = reciprocity.quadratic_symbol
+    original = reciprocity.class_power_map
     for label in ["sym:4", "cyclic:5", PSL27]:
         b, T = table_for(build, label)
         want = det_identities(b.G, b.S, b.split, T, b.D)
         g = chartab.unit_generators(T.conductor)[0]
-        flip = lambda G, S, a, g=g: -original(G, S, a) if a == g else original(G, S, a)
-        monkeypatch.setattr(reciprocity, "quadratic_symbol", flip)
+        symbol = reciprocity.quadratic_symbol(b.G, b.S, g)
+
+        def flip(G, S, a, g=g):
+            swap = lambda x, pi: pi[1::-1] + pi[2:] if x == g else pi
+            return swap(a, original(G, S, a)) if np.ndim(a) == 0 else list(map(swap, a, original(G, S, a)))
+
+        monkeypatch.setattr(reciprocity, "class_power_map", flip)
+        assert reciprocity.quadratic_symbol(b.G, b.S, g) == symbol_character(b.G, b.S)(g) == -symbol, label
         few = chartab._det_identities(b.G, b.S, T, b.D, every=False)
         every = det_identities(b.G, b.S, b.split, T, b.D)
-        monkeypatch.setattr(reciprocity, "quadratic_symbol", original)
+        monkeypatch.setattr(reciprocity, "class_power_map", original)
         for report in (every, few):
             checks = {c.name: c for c in report.checks}
             assert report.det == want.det and checks["galois_permutes_columns"].ok, label
             assert not checks["galois_scales_det_by_symbol"].ok, label
         # the few-units path tests the generators, g first
-        assert checks["galois_scales_det_by_symbol"].witness == f"a = {g}, symbol {-original(b.G, b.S, g)}", label
+        assert checks["galois_scales_det_by_symbol"].witness == f"a = {g}, symbol {-symbol}", label
 
 
 # Oracles: verify_orthogonality and det_identities as they were before the

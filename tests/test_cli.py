@@ -342,3 +342,26 @@ def test_well_formed_call_leaves_argparse_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["label"] == "cyclic:5"
+
+
+def test_commands_import_no_module_after_startup():
+    # a module imported on first use is paid inside a command's time (numpy's
+    # np.unique imports numpy.ma, numpy.random takes 15 ms): once quadsym.cli
+    # is imported, verify over the catalog, chartab and the symbol table
+    # import nothing more
+    src = Path(cli.__file__).parents[1]
+    code = (
+        "import contextlib, io, sys; from quadsym import cli; before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in (['verify', '--json'], ['chartab', 'sym:7', '--json'],"
+        " ['symbol', 'sl2:16', '--table', '--json'])]\n"
+        "print(codes, sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] []\n"

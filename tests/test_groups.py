@@ -361,6 +361,73 @@ def test_class_power_chains():
             assert chains[j][t] == S.class_of[G.power(c.rep, t)]
 
 
+def power_chains_oracle(G, S):
+    """class_power_chains as one step per power: step t stores the classes of
+    rep^t for each class whose order exceeds t."""
+    class_of = np.array(S.class_of)
+    reps = np.array([c.rep for c in S.classes])
+    order = np.array([c.rep_order for c in S.classes])
+    start = np.cumsum(order) - order
+    flat = np.empty(order.sum(), dtype=np.intp)
+    live = np.arange(S.m)
+    cur = np.full(S.m, G.identity_index)
+    for t in range(order.max()):
+        flat[start[live] + t] = class_of[cur]
+        keep = order[live] > t + 1
+        live = live[keep]
+        cur = G.multiply_many(cur[keep], reps[live])
+    return flat, start, order
+
+
+def test_class_power_chains_match_the_step_per_power_oracle(monkeypatch):
+    # doubling takes ceil(log2(o - 1)) batched products for the largest
+    # order o, where the oracle takes one per power: 5 against 33 on
+    # cyclic:11*sym:3, 7 against 128 on cyclic:128
+    labels = [*default_catalog(), "cyclic:101", "cyclic:128", "cyclic:11*sym:3", "dihedral:12*sym:4"]
+    for label in labels:
+        G = group(label)
+        S = conjugacy_classes(G)
+        want = power_chains_oracle(G, S)
+        calls = 0
+        multiply_many = G.multiply_many
+
+        def counting(I, J):
+            nonlocal calls
+            calls += 1
+            return multiply_many(I, J)
+
+        monkeypatch.setattr(G, "multiply_many", counting)
+        chains = class_power_chains(G, S)
+        assert all(np.array_equal(x, y) for x, y in zip((chains.flat, chains.start, chains.order), want)), label
+        assert calls == max(int(want[2].max()) - 2, 0).bit_length(), (label, calls)
+
+
+def test_class_power_map_takes_several_exponents(monkeypatch):
+    # one ladder for all the exponents: the squares are shared, so the
+    # products are about those of the largest exponent alone, not the sum
+    for label in ["sym:7", "cyclic:2*alt:5", "sl2:8", "cyclic:101"]:
+        G = group(label)
+        S = conjugacy_classes(G)
+        units = [a for a in range(1, G.n) if math.gcd(a, G.n) == 1][-6:]
+        calls = 0
+        multiply_many = G.multiply_many
+
+        def counting(I, J):
+            nonlocal calls
+            calls += 1
+            return multiply_many(I, J)
+
+        monkeypatch.setattr(G, "multiply_many", counting)
+        maps = class_power_map(G, S, units)
+        assert maps == [class_power_map(G, S, a) for a in units], label
+        calls = 0
+        class_power_map(G, S, units)
+        assert calls <= 2 * max(units).bit_length(), (label, calls)
+        assert class_power_map(G, S, []) == []
+        with pytest.raises(ValueError, match=f"^{G.n} is not coprime"):
+            class_power_map(G, S, [1, G.n])
+
+
 def test_class_power_map_properties():
     for text in ["sym:4", "dihedral:6", "q8", "cyclic:12"]:
         G = group(text)
@@ -460,6 +527,15 @@ def test_sl2_small_field_structure():
 def test_element_repr():
     G = group("sym:3")
     assert G.element_repr(G.identity_index) == "(0, 1, 2)"
+
+
+def test_element_repr_decodes_its_row_alone():
+    # before the elements are decoded, element_repr decodes row i only
+    for label in ["sym:7", "cyclic:12", "dihedral:12*sym:4", "sl2:4*cyclic:64", "q8*sym:3"]:
+        G = group(label)
+        got = [G.element_repr(i) for i in range(0, G.n, 7)]
+        assert "elements" not in G.__dict__, label
+        assert got == [str(G.elements[i]) for i in range(0, G.n, 7)], label
 
 
 def test_product_outside_the_elements_is_a_group_error():
