@@ -346,9 +346,9 @@ def test_well_formed_call_leaves_argparse_unloaded():
 
 def test_commands_import_no_module_after_startup():
     # a module imported on first use is paid inside a command's time (numpy's
-    # np.unique imports numpy.ma, numpy.random takes 15 ms): once quadsym.cli
-    # is imported, verify over the catalog, chartab and the symbol table
-    # import nothing more
+    # np.unique imports numpy.ma, 14 ms; numpy.random takes 12 ms): once
+    # quadsym.cli is imported, verify over the catalog, chartab and the
+    # symbol table import nothing more
     src = Path(cli.__file__).parents[1]
     code = (
         "import contextlib, io, sys; from quadsym import cli; before = set(sys.modules)\n"
