@@ -32,6 +32,11 @@ square table X, X H X* = n I gives X* X = n H^-1.  Once the column norms
 sum_i |chi_ij|^2 = c_j are decided, Hadamard bounds det at every embedding by
 (prod_j c_j)^(1/2), and the interpolation turns that into B_det (_det_bound).
 
+The table is one (m, m, phi) int64 array, CharacterTable.coeffs: a coefficient
+sums at most e multiplicities, each at most the degree, times coefficients of
+z^k of size at most C_e, which character_table asserts fits.  Its CycInt
+entries are decoded on first read, which only the checks' error texts do.
+
 Most embeddings are redundant (Isaacs, Character Theory of Finite Groups,
 1976): z -> z^a moves the image at u to the image at u * a, and it moves
 column j to column pi_a(j), pi_a the class power map, at every unit once it
@@ -483,44 +488,43 @@ def _choose_prime(e: int, n: int) -> int:
 # the table itself
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     """Rows are characters, columns follow ``class_order`` (a permutation of
-    the ClassSet indices: real classes first, then inverse pairs)."""
+    the ClassSet indices: real classes first, then inverse pairs).  The table
+    is ``coeffs``, each entry's coefficients over the power basis in one
+    (m, m, phi) array, int64 from character_table (bounded as the module
+    docstring says); ``entries`` decodes it into CycInts on first read."""
 
     label: str
     conductor: int
     prime: int
     class_order: tuple[int, ...]
     degrees: tuple[int, ...]
-    entries: tuple[tuple[CycInt, ...], ...]
+    coeffs: np.ndarray
     # the class power map in column order: z -> z^a moves column j to column
     # chains.at(a)[j]; computed again from the group when absent
-    chains: Optional[PowerChains] = field(default=None, compare=False, repr=False)
-    # what the checks computed from ``entries``, which a copy made by replace
+    chains: Optional[PowerChains] = field(default=None, repr=False)
+    # what the checks computed from ``coeffs``, which a copy made by replace
     # starts without: per prime P, the embedding maps mod P and the images by
     # unit index (_table_images); [whether the Galois action permutes the
     # columns] once decided (_at_few_units)
-    images: dict = field(init=False, default_factory=dict, compare=False, repr=False)
-    galois: list = field(init=False, default_factory=list, compare=False, repr=False)
+    images: dict = field(init=False, default_factory=dict, repr=False)
+    galois: list = field(init=False, default_factory=list, repr=False)
+
+    def __eq__(self, other):  # the generated == would take an array's truth value
+        head = lambda T: (T.label, T.conductor, T.prime, T.class_order, T.degrees)
+        same = isinstance(other, CharacterTable) and head(self) == head(other)
+        return same and np.array_equal(self.coeffs, other.coeffs)
 
     @property
     def m(self) -> int:
         return len(self.class_order)
 
     @cached_property
-    def coeffs(self) -> np.ndarray:
-        """The entries' coefficients, (m, m, phi): int64 while each is below
-        2^31 in size, Python ints otherwise; character_table leaves its own
-        int64 array here."""
-        entries = [[z.coeffs for z in row] for row in self.entries]
-        try:
-            coeffs = np.array(entries, dtype=np.int64)
-            if -(2**31) < coeffs.min() and coeffs.max() < 2**31:
-                return coeffs
-        except OverflowError:
-            pass
-        return np.array(entries, dtype=object)
+    def entries(self) -> tuple[tuple[CycInt, ...], ...]:
+        """The table as rows of CycInts, decoded from ``coeffs``."""
+        return tuple(tuple(CycInt(self.conductor, tuple(z)) for z in row) for row in self.coeffs.tolist())
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -570,10 +574,13 @@ def character_table(
         raise CharTableError(f"{G.label}: degrees {degrees} are inconsistent with n={n} (P = {P})")
 
     # every int64 dot product here and in the splitting sums at most
-    # max(e, m) products of residues
-    assert max(e, m) * (P - 1) ** 2 < 2**63, (e, m, P)
-    inv_powers = _power_table(pow(primitive_root(P), -((P - 1) // e), P), e, P)
+    # max(e, m) products of residues; a coefficient sums at most o <= e
+    # multiplicities, each at most the degree (checked below), times basis
+    # entries of size at most C_e
     basis = _basis(e)
+    assert max(e, m) * (P - 1) ** 2 < 2**63, (e, m, P)
+    assert e * max(degrees) * basis.root_norm < 2**63, (e, max(degrees), basis.root_norm)
+    inv_powers = _power_table(pow(primitive_root(P), -((P - 1) // e), P), e, P)
     degs = np.array(degrees)
     chi_mod = degs[:, None] * W % P * size_inv % P
     coeffs = np.empty((m, m, basis.phi), dtype=np.int64)
@@ -590,26 +597,14 @@ def character_table(
             bad = np.argwhere(mu.swapaxes(0, 1) > degs[:, None])[:1]  # the block's first, in column order
             over += [(J[j], mu[i, j, t], degs[i]) for j, i, t in bad]
             coeffs[:, J] = mu @ basis.rows[step * k]
-    del mu  # a block's worth, before the entries set the peak
+    del mu  # a block's worth, before the sort sets the peak
     if over:
         _, mu, deg = min(over)
         raise CharTableError(f"{G.label}: eigenvalue multiplicity {mu} exceeds the degree {deg} (P = {P})")
     # by degree, the trivial character first, then by coefficients
     trivial = (coeffs == basis.rows[0]).all(axis=(1, 2))
     order = sorted(range(m), key=lambda i: (degrees[i], not trivial[i], coeffs[i].tolist()))
-    coeffs = coeffs[order]
-    T = CharacterTable(
-        label=G.label,
-        conductor=e,
-        prime=P,
-        class_order=tuple(cols),
-        degrees=tuple(degrees[i] for i in order),
-        entries=tuple(tuple(CycInt(e, tuple(z)) for z in row.tolist()) for row in coeffs),
-        chains=chains,
-    )
-    if -(2**31) < coeffs.min() and coeffs.max() < 2**31:  # what T.coeffs would build from the entries
-        T.__dict__["coeffs"] = coeffs
-    return T
+    return CharacterTable(G.label, e, P, tuple(cols), tuple(degrees[i] for i in order), coeffs[order], chains)
 
 
 def _table_images(T: CharacterTable, primes: Sequence[int], units: np.ndarray) -> np.ndarray:
@@ -624,11 +619,12 @@ def _table_images(T: CharacterTable, primes: Sequence[int], units: np.ndarray) -
         if new:
             # every int64 dot product here and in the checks sums at most
             # max(phi, m) products of residues; only the powers of z that
-            # some entry uses take part (a rational table: z^0 alone)
+            # some entry uses are reduced and take part (a rational table:
+            # z^0 alone)
             assert max(vander.shape[1], m) * (P - 1) ** 2 < 2**63, (vander.shape, m, P)
-            flat = (T.coeffs.reshape(m * m, -1) % P).astype(np.int64, copy=False)
+            flat = T.coeffs.reshape(m * m, -1)
             used = np.flatnonzero(flat.any(axis=0))
-            found.update(zip(new, (vander[new][:, used] @ flat[:, used].T % P).reshape(len(new), m, m)))
+            found.update(zip(new, (vander[new][:, used] @ (flat[:, used] % P).T % P).reshape(len(new), m, m)))
         out.append([found[t] for t in units.tolist()])
     return np.array(out, dtype=np.int64).reshape(len(out), len(units), m, m)
 
@@ -803,5 +799,5 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
 
 def export_table(T: CharacterTable) -> str:
     """One line per character: entries as bracketed coefficient lists."""
-    rows = (" ".join("[" + ",".join(map(str, z.coeffs)) + "]" for z in row) for row in T.entries)
+    rows = (" ".join("[" + ",".join(map(str, z)) + "]" for z in row) for row in T.coeffs.tolist())
     return "".join(row + "\n" for row in rows)

@@ -509,27 +509,20 @@ def conjugacy_classes(G: GroupTable) -> ClassSet:
     n = G.n
     every = np.arange(n)
     # conj[k][x] = g_k^-1 x g_k for every x, one product pair per generator
-    conj = [
-        G.multiply_many(G.inverse[g], G.multiply_many(every, g)).tolist() for g in G.generators
-    ]
-    seen = bytearray(n)
-    raw: list[list[int]] = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        orbit = [i]
-        seen[i] = 1
-        queue = [i]
-        while queue:
-            x = queue.pop()
-            for c in conj:
-                y = c[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    orbit.append(y)
-                    queue.append(y)
-        orbit.sort()
-        raw.append(orbit)
+    conj = [G.multiply_many(G.inverse[g], G.multiply_many(every, g)) for g in G.generators]
+    # every element takes the least label along each map, then one pointer
+    # jump, until nothing changes: the label is then its orbit's least member
+    label = every
+    while True:
+        last = label
+        for c in conj:
+            label = np.minimum(label, label[c])
+        label = label.take(label)
+        if (label == last).all():
+            break
+    members = np.argsort(label, kind="stable")  # each orbit's members in order
+    cuts, members = (np.flatnonzero(np.diff(label[members])) + 1).tolist(), members.tolist()
+    raw = [members[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
     raw.sort(key=lambda orbit: (G.element_order[orbit[0]], len(orbit), orbit[0]))
     classes = []
     class_of = [0] * n

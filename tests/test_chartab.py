@@ -45,6 +45,17 @@ def table_for(build, label, **kw):
     return b, T
 
 
+def coeffs_of(rows):
+    """The coefficient array of a table given as rows of CycInts: int64, or
+    Python ints (dtype object) once a coefficient does not fit."""
+    return np.array([[z.coeffs for z in row] for row in rows])
+
+
+def with_rows(T, rows):
+    """A copy of T whose table is ``rows``, rows of CycInts."""
+    return dataclasses.replace(T, coeffs=coeffs_of(rows))
+
+
 def test_cyclotomic_polynomial_known():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
@@ -517,17 +528,38 @@ def test_the_identity_class_meets_every_central_character(build, catalog, monkey
         assert c.tolist() == [d * d * pow(n, -1, P) % P for d in T.degrees], label
 
 
-def test_the_table_keeps_its_coefficient_array(build):
-    # character_table leaves the int64 array it lifted in T.coeffs; a copy
-    # made by replace builds it again from its entries
+def test_the_table_keeps_its_coefficient_array(build, capsys, monkeypatch):
+    # the table is the int64 array character_table lifted; the checks and
+    # the export read that array, and the CycInt entries are decoded from it
+    # on first read only
+    from quadsym import cli
+
     for label in ["sym:5", "dihedral:12*sym:4"]:
         b, T = table_for(build, label, max_classes=64)
-        assert "coeffs" in T.__dict__ and T.coeffs.dtype == np.int64
-        rebuilt = dataclasses.replace(T).coeffs
-        assert rebuilt is not T.coeffs and np.array_equal(rebuilt, T.coeffs)
-        rows = [list(row) for row in T.entries]
-        rows[-1][0] = rows[-1][0] + 1
-        assert dataclasses.replace(T, entries=tuple(map(tuple, rows))).coeffs[-1, 0, 0] == T.coeffs[-1, 0, 0] + 1
+        assert T.coeffs.dtype == np.int64 and T.coeffs.shape == (T.m, T.m, _basis(T.conductor).phi)
+        verify_orthogonality(b.G, b.S, T)
+        assert det_identities(b.G, b.S, b.split, T, b.D).ok
+        text = export_table(T)
+        assert "entries" not in T.__dict__, label
+        assert [[list(z.coeffs) for z in row] for row in T.entries] == T.coeffs.tolist()
+        assert all(z.e == T.conductor for row in T.entries for z in row)
+        assert text == "".join(" ".join(f"[{','.join(map(str, z.coeffs))}]" for z in row) + "\n" for row in T.entries)
+        # a copy made by replace holds the same array and decodes its own
+        # entries; one coefficient more makes another table
+        copy = dataclasses.replace(T)
+        assert copy.coeffs is T.coeffs and copy == T and "entries" not in copy.__dict__
+        bumped = T.coeffs.copy()
+        bumped[-1, 0, 0] += 1
+        assert dataclasses.replace(T, coeffs=bumped) != T
+        assert dataclasses.replace(T, coeffs=bumped).entries[-1][0] == T.entries[-1][0] + 1
+    # chartab prints its text and JSON without decoding the entries
+    decoded = []
+    original = CharacterTable.__dict__["entries"].func
+    monkeypatch.setattr(CharacterTable, "entries", property(lambda T: decoded.append(T) or original(T)))
+    for argv in (["chartab", "sym:4"], ["chartab", "sym:4", "--json"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert decoded == []
 
 
 def test_cycint_basics():
@@ -611,7 +643,7 @@ def modular_det(rows, e, bound, label):
     """det of a square matrix over Z[z] from its images at every unit mod
     each prime, with the primes and those images."""
     m = len(rows)
-    T = CharacterTable(label, e, 0, tuple(range(m)), (1,) * m, tuple(map(tuple, rows)))
+    T = CharacterTable(label, e, 0, tuple(range(m)), (1,) * m, coeffs_of(rows))
     primes = _primes(e, bound, label)
     E = _table_images(T, primes, np.arange(_basis(e).phi))
     s = np.array([det_stack(images, P) for P, images in zip(primes, E)])
@@ -679,17 +711,26 @@ def test_det_bound_is_sound_and_sets_the_prime_count(build, catalog):
     assert (counts["cyclic:11*sym:3"], counts["dihedral:12*sym:4"]) == (5, 6)
 
 
-def test_cyclic_tables_match_roots_of_unity(build):
-    # independent construction: row t of cyclic(k) is j -> zeta^(t * rep_j)
-    for k in range(1, 17):
-        b, T = table_for(build, f"cyclic:{k}")
-        assert T.conductor == k
-        assert set(T.degrees) == {1}
-        reps = [b.S.classes[j].rep for j in T.class_order]
+def test_cyclic_tables_match_roots_of_unity(build, catalog):
+    # independent construction, the dual group (Serre, Linear Representations
+    # of Finite Groups, 1977): with cyclic factors of orders d_i and zeta a
+    # primitive e-th root of unity, e = lcm d_i, row t is g -> zeta^<t, g>,
+    # <t, g> = sum_i t_i g_i e / d_i; compared as CycInts, entry by entry, up
+    # to the order of the rows.  Every abelian catalog group, and two past the
+    # class cap
+    labels = [label for label in catalog if label.startswith(("cyclic:", "abelian:")) and "*" not in label]
+    assert len(labels) == 34
+    for label in labels + ["cyclic:100", "cyclic:128"]:
+        b = build(label)
+        T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
+        dims = b.G.spec.args
+        e = math.lcm(*dims)
+        assert T.conductor == e and set(T.degrees) == {1}, label
+        reps = b.G.rows[[b.S.classes[j].rep for j in T.class_order]] * (e // np.array(dims))
         expected = {
-            tuple(CycInt.root_power(k, t * r) for r in reps) for t in range(k)
+            tuple(CycInt.root_power(e, k) for k in (reps @ t).tolist()) for t in itertools.product(*map(range, dims))
         }
-        assert set(T.entries) == expected, k
+        assert len(expected) == T.m and set(T.entries) == expected, label
 
 
 def test_sym3_table(build):
@@ -783,7 +824,7 @@ def test_orthogonality_detects_corruption(build):
         prime=T.prime,
         class_order=T.class_order,
         degrees=T.degrees,
-        entries=tuple(tuple(r) for r in bad_rows),
+        coeffs=coeffs_of(bad_rows),
     )
     with pytest.raises(CharTableError) as exc:
         verify_orthogonality(b.G, b.S, bad)
@@ -794,7 +835,7 @@ def test_orthogonality_detects_corruption(build):
     bad_rows = [list(r) for r in T.entries]
     bad_rows[1][0] = bad_rows[1][0] + 10**40
     with pytest.raises(CharTableError, match=f"rows 0, 1: got {10**40}, want 0"):
-        verify_orthogonality(b.G, b.S, dataclasses.replace(T, entries=tuple(map(tuple, bad_rows))))
+        verify_orthogonality(b.G, b.S, with_rows(T, bad_rows))
 
 
 def test_det_identities_detect_corruption(build):
@@ -803,7 +844,7 @@ def test_det_identities_detect_corruption(build):
     b, T = table_for(build, "cyclic:5")
     z = CycInt.root_power(5, 1)
     rows = T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),)
-    report = det_identities(b.G, b.S, b.split, dataclasses.replace(T, entries=rows), b.D)
+    report = det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
     assert [(c.name, c.ok, c.witness) for c in report.checks] == [
         ("det_squared_is_ell2_d", False, "det^2 = 3125*z^2, d = 5"),
         ("conjugate_det", False, "conj(det) != (1) * det"),
@@ -814,7 +855,7 @@ def test_det_identities_detect_corruption(build):
     # a zero row takes 1 from every column norm, which the bound on det needs
     rows = T.entries[:-1] + ((CycInt.integer(5, 0),) * 5,)
     with pytest.raises(CharTableError, match=r"^cyclic:5: column 0 has norm 4, want 5, .* \(P = \d+\)$"):
-        det_identities(b.G, b.S, b.split, dataclasses.replace(T, entries=rows), b.D)
+        det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
 
 
 def test_det_identities_need_the_column_norms(build):
@@ -825,7 +866,7 @@ def test_det_identities_need_the_column_norms(build):
             c = b.G.n // b.S.classes[T.class_order[j]].size
             want = rf"^{re.escape(label)}: column {j} has norm {4 * c}, want {c}, "
             with pytest.raises(CharTableError, match=want):
-                det_identities(b.G, b.S, b.split, dataclasses.replace(T, entries=rows), b.D)
+                det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
 
 
 def test_det_squared_matches_vandermonde_formula(build):
@@ -943,9 +984,7 @@ def test_table_images_use_only_the_powers_that_occur():
             coeffs = rng.integers(-(2**40), 2**40, (m, m, phi)) * (rng.random(phi) >= unused)
             coeffs[0, 0, 0] = 7  # one power, z^0, at least
             coeffs[-1, -1, rng.integers(phi)] = -3  # a power, maybe in the last entry only
-            T = CharacterTable("t", e, 0, tuple(range(m)), (1,) * m, tuple(
-                tuple(CycInt(e, tuple(z)) for z in row) for row in coeffs.tolist()
-            ))
+            T = CharacterTable("t", e, 0, tuple(range(m)), (1,) * m, coeffs)
             units = rng.permutation(phi)[: phi // 2]
             want = vander[units] @ (coeffs.reshape(m * m, phi) % P).T % P
             got = _table_images(T, [P], units)
@@ -1064,7 +1103,7 @@ def test_table_images_are_kept_per_table(build):
     det_identities(b.G, b.S, b.split, T, b.D)
     assert same(kept, record(T))
     # a table made from this one by replace starts without images
-    assert dataclasses.replace(T, entries=T.entries).images == {}
+    assert dataclasses.replace(T, coeffs=T.coeffs).images == {}
 
 
 def test_det_is_eliminated_once_per_prime(build, monkeypatch):
@@ -1084,7 +1123,7 @@ def test_det_is_eliminated_once_per_prime(build, monkeypatch):
     # cyclic:5 with its last row times z, as in test_det_identities_detect_corruption
     b, T = table_for(build, "cyclic:5")
     z = CycInt.root_power(5, 1)
-    bad = dataclasses.replace(T, entries=T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),))
+    bad = with_rows(T, T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),))
     stacked.clear()
     assert not det_identities(b.G, b.S, b.split, bad, b.D).ok
     det_primes = _primes(5, _det_bound(5, [5] * 5), T.label)
@@ -1275,7 +1314,7 @@ def galois_oracle(b, T):
 def assert_checks_match_the_oracles(b, T):
     # det_identities on a table of its own, and after verify_orthogonality on
     # the same table, as chartab runs them
-    fresh = lambda: dataclasses.replace(T, entries=T.entries)
+    fresh = lambda: dataclasses.replace(T, coeffs=T.coeffs)
     want_orth = outcome(orthogonality_oracle, b.G, b.S, fresh())
     want_det = outcome(det_identities_oracle, b.G, b.S, b.split, fresh(), b.D)
     assert outcome(det_identities, b.G, b.S, b.split, fresh(), b.D) == want_det, T.label
@@ -1311,7 +1350,7 @@ def test_rows_imply_the_columns(build, catalog):
         z = CycInt.root_power(T.conductor, 1)
         times_z = T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),)
         for rows in (T.entries, times_z, T.entries[:1] + T.entries[:0:-1]):
-            table = dataclasses.replace(T, entries=rows)
+            table = with_rows(T, rows)
             verify_orthogonality(b.G, b.S, table)
             assert orthogonality_oracle(b.G, b.S, table) is None, label
 
@@ -1324,20 +1363,20 @@ def test_existing_corruptions_match_the_oracles(build):
     rows = [list(r) for r in T.entries]
     rows[2][1] = CycInt.integer(T.conductor, 1)
     # built without the power chains, which the checks then compute
-    bare = CharacterTable(T.label, T.conductor, T.prime, T.class_order, T.degrees, tuple(map(tuple, rows)))
+    bare = CharacterTable(T.label, T.conductor, T.prime, T.class_order, T.degrees, coeffs_of(rows))
     assert_checks_match_the_oracles(b, bare)
     rows = [list(r) for r in T.entries]
     rows[1][0] = rows[1][0] + 10**40
-    assert_checks_match_the_oracles(b, dataclasses.replace(T, entries=tuple(map(tuple, rows))))
+    assert_checks_match_the_oracles(b, with_rows(T, rows))
     b, T = table_for(build, "cyclic:5")
     z = CycInt.root_power(5, 1)
     for last in (tuple(x * z for x in T.entries[-1]), (CycInt.integer(5, 0),) * 5):
-        assert_checks_match_the_oracles(b, dataclasses.replace(T, entries=T.entries[:-1] + (last,)))
+        assert_checks_match_the_oracles(b, with_rows(T, T.entries[:-1] + (last,)))
     for label in ["cyclic:5", "sym:4", PSL27]:
         b, T = table_for(build, label)
         for j in range(T.m):
             rows = tuple(row[:j] + (2 * row[j],) + row[j + 1 :] for row in T.entries)
-            assert_checks_match_the_oracles(b, dataclasses.replace(T, entries=rows))
+            assert_checks_match_the_oracles(b, with_rows(T, rows))
 
 
 CORRUPTED = ["cyclic:5", "cyclic:12", "sym:4", "q8", "dihedral:6", "cyclic:3*dihedral:4", "alt:5", PSL27]
@@ -1365,7 +1404,7 @@ def test_corrupted_tables_match_the_oracles(build, label, kind, i, j, values):
     else:
         for row in rows:
             row[j] = 2 * row[j]
-    assert_checks_match_the_oracles(b, dataclasses.replace(T, entries=tuple(map(tuple, rows))))
+    assert_checks_match_the_oracles(b, with_rows(T, rows))
 
 
 def library_report(b, max_classes=64):
