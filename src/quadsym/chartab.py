@@ -15,10 +15,10 @@ knowing them mod a large enough P pins them down; they are a discrete
 Fourier transform along the powers of the class representative, one batched
 product for the columns of each element order.  One stacked Gauss-Jordan
 elimination mod P (_rref_stack) gives both the Krylov dependences, stopped
-at the last column a split reads, and the determinants; it reduces only the
-pivot row and column at each step, so any other entry gains less than
-(P - 1)^2 per step, and c columns stay exact in int64 while
-c (P - 1)^2 + P < 2^63, which it asserts.
+at the last column a split reads, and the determinants: it records the row
+that pivots each column, moves no row until one gather at the end, and takes
+det as the product of the pivots times the parity of that row order.  It
+stays exact in int64 within a headroom it asserts, c (P - 1)^2 + P < 2^63.
 
 The identities on a table are decided without arithmetic in Z[z]: for primes
 P = 1 mod e below 2^24, Phi_e splits mod P into the factors X - x_t, x_t = w^u
@@ -367,15 +367,18 @@ def _rref_stack(A: np.ndarray, P, until_free: bool = False) -> tuple[np.ndarray,
     """Reduced row echelon forms of a stack of matrices with entries in
     [0, P), matrix k mod P[k] (or all mod one P), in place and all at once.
     Returns which columns of each hold a pivot, and each determinant: the
-    product of the pivots, negated per row swap, and 0 once a column has no
-    pivot, which is det for a square matrix.  ``until_free`` stops once every
-    matrix has had a column without a pivot, the later columns unreduced.
+    product of the pivots times the parity of the order the rows pivot in
+    (the reduction leaves that permutation matrix), and 0 once a column has
+    no pivot, which is det for a square matrix.  ``until_free`` stops once
+    every matrix has had a column without a pivot, the later columns unreduced.
 
-    At each column every matrix takes its own pivot row, swaps it up to its
-    rank, scales it by the pivot's inverse and clears the column in every
-    other row.  Only the pivot column and the pivot row are reduced at each
-    step: every other entry gains a product of two residues, below (P - 1)^2,
-    per step, so c columns stay exact in int64 while c (P - 1)^2 + P < 2^63.
+    At each column every matrix takes the first row without a pivot whose
+    entry is nonzero, scales it by the pivot's inverse and clears the column
+    in every other row; no row moves until one gather puts the pivot rows on
+    top in column order.  Only the pivot column and the pivot row are reduced
+    at each step: every other entry gains a product of two residues, below
+    (P - 1)^2, per step, so c columns stay exact in int64 while
+    c (P - 1)^2 + P < 2^63.
     """
     b, r, c = A.shape
     top = int(np.max(P, initial=0))
@@ -383,32 +386,28 @@ def _rref_stack(A: np.ndarray, P, until_free: bool = False) -> tuple[np.ndarray,
     P = np.broadcast_to(np.asarray(P, dtype=np.int64), (b,))
     mods, Pc = P.tolist(), P[:, None]
     stack, rows = np.arange(b), np.arange(r)
-    rank = np.zeros(b, dtype=np.intp)
     has = np.zeros((b, c), dtype=bool)
     det = np.ones(b, dtype=np.int64)
-    odd = np.zeros(b, dtype=bool)  # an odd number of row swaps
+    lead = np.full((b, r), c)  # the column each row pivots, c for none yet
     for k in range(c):
         col = A[:, :, k] % Pc
-        cand = (col != 0) & (rows >= rank[:, None])
+        cand = (col != 0) & (lead == c)
         found = has[:, k] = cand.any(axis=1)
-        here = np.minimum(rank, r - 1)
-        piv = np.where(found, cand.argmax(axis=1), here)
-        if (piv != here).any():
-            A[stack, here, k:], A[stack, piv, k:] = A[stack, piv, k:], A[stack, here, k:]
-            col[stack, here], col[stack, piv] = col[stack, piv], col[stack, here]
-            odd ^= piv != here
-        pivot = np.where(found, col[stack, here], 0)
+        piv = cand.argmax(axis=1)
+        pivot = np.where(found, col[stack, piv], 0)
         det = det * pivot % P
         inv = np.array([pow(x, -1, p) if x else 1 for x, p in zip(pivot.tolist(), mods)], dtype=np.int64)
-        A[stack, here, k + 1 :] = row = A[stack, here, k + 1 :] % Pc * inv[:, None] % Pc
-        col[stack, here] = col[stack, here] * inv % P  # 1 at a pivot
-        clear = (rows != here[:, None]) & found[:, None]
-        A[:, :, k + 1 :] += np.where(clear, -col % Pc, 0)[:, :, None] * row[:, None]
-        A[:, :, k] = np.where(clear, 0, col)
-        rank += found
+        A[stack, piv, k + 1 :] = row = A[stack, piv, k + 1 :] % Pc * inv[:, None] % Pc
+        A[:, :, k] = np.where(found[:, None], rows == piv[:, None], col)
+        col[stack, piv] = 0  # the pivot row keeps its entries
+        A[:, :, k + 1 :] += (-col * found[:, None] % Pc)[:, :, None] * row[:, None]
+        lead[stack[found], piv[found]] = k
         if until_free and not has[:, : k + 1].all(axis=1).any():
             break
-    return has, np.where(odd, -det % P, det)
+    order = np.argsort(lead, axis=1, kind="stable")
+    A[:] = A[stack[:, None], order]
+    parity = lru_cache(None)(permutation_parity)
+    return has, np.array([parity(p) for p in map(tuple, order.tolist())], dtype=np.int64) * det % P
 
 
 def _split(pieces: np.ndarray, R: np.ndarray, P: int) -> np.ndarray:

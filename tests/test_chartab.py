@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -269,13 +271,18 @@ PRIMES = (2, 3, 61, 421, LARGEST_P)
 
 def awkward_stack(rng, b, r, c, P):
     """b random r x c matrices mod P, each of deficient rank with some
-    probability, some with zero columns and repeated rows."""
+    probability, some with zero columns and repeated rows, some whose pivot
+    rows come in a random order, of either parity."""
     stack = []
     for _ in range(b):
         A = rng.integers(0, P, (r, c))
         k = int(rng.integers(0, min(r, c) + 1))
         if rng.random() < 0.6 and k < min(r, c):  # rank at most k
             A = rng.integers(0, P, (r, k)) @ rng.integers(0, P, (k, c))
+        elif rng.random() < 0.5:  # upper triangular, rows shuffled: the pivot rows come shuffled
+            A = np.triu(A)
+            A[np.diag_indices(min(r, c))] = rng.integers(1, P, min(r, c))
+            A = A[rng.permutation(r)]
         if rng.random() < 0.3:
             A[:, rng.integers(0, c)] = 0
         if rng.random() < 0.3 and r > 1:
@@ -731,6 +738,87 @@ def test_cyclic_tables_match_roots_of_unity(build, catalog):
             tuple(CycInt.root_power(e, k) for k in (reps @ t).tolist()) for t in itertools.product(*map(range, dims))
         }
         assert len(expected) == T.m and set(T.entries) == expected, label
+
+
+def partitions(k, most=None):
+    """The partitions of k into parts of at most ``most``, largest part first."""
+    if k == 0:
+        return [()]
+    most = k if most is None else most
+    return [(p,) + rest for p in range(min(k, most), 0, -1) for rest in partitions(k - p, p)]
+
+
+@functools.lru_cache(maxsize=None)
+def murnaghan_nakayama(beta, mu):
+    """chi^lambda at cycle type mu (James & Kerber, The Representation Theory
+    of the Symmetric Group, 1981, ch. 2), lambda given by its beta-set, the
+    distinct numbers lambda_i + (len - i): removing a rim hook of length r
+    moves one bead from b to b - r onto an empty place, with the sign of
+    the leg length, the number of beads passed."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            leg = sum(b - r < x < b for x in beta)
+            total += (-1) ** leg * murnaghan_nakayama(tuple(sorted(set(beta) - {b} | {b - r})), rest)
+    return total
+
+
+def cycle_type(perm):
+    seen, parts = set(), []
+    for start in range(len(perm)):
+        i, length = start, 0
+        while i not in seen:
+            seen.add(i)
+            i, length = perm[i], length + 1
+        if length:
+            parts.append(length)
+    return tuple(sorted(parts, reverse=True))
+
+
+def test_symmetric_tables_match_murnaghan_nakayama(build):
+    # row lambda at the column of a class whose representative has cycle type
+    # mu is chi^lambda(mu), an integer; compared as CycInts, entry by entry,
+    # up to the order of the rows.  sym:3 to sym:7, and S_8 from two
+    # generators past the order and class caps
+    s8 = make_group(parse_group_spec("perm:[(1 2 3 4 5 6 7 8),(1 2)]"), max_order=40320)
+    groups = [build(f"sym:{k}").G for k in range(3, 8)] + [s8]
+    for G in groups:
+        S = conjugacy_classes(G)
+        T = character_table(G, S, real_complex_split(S), max_classes=22)
+        k = G.rows.shape[1]
+        types = [cycle_type(G.rows[S.classes[j].rep].tolist()) for j in T.class_order]
+        assert sorted(types) == sorted(partitions(k)), G.label
+        betas = [tuple(p + len(lam) - i for i, p in enumerate(lam, 1)) for lam in partitions(k)]
+        expected = [tuple(CycInt.integer(T.conductor, murnaghan_nakayama(beta, mu)) for mu in types) for beta in betas]
+        assert collections.Counter(T.entries) == collections.Counter(expected), G.label
+
+
+def test_dihedral_tables_match_the_closed_form(build, catalog):
+    # D_k, (x, y) standing for rotation^x flip^y (Serre, Linear Representations
+    # of Finite Groups, 1977, 5.3): the linear characters a^x c^y, a = 1 or,
+    # for even k, -1, and c = +-1; and for 0 < h < k / 2, chi_h(r^x) =
+    # zeta^hx + zeta^-hx, zeta a primitive k-th root of unity, and
+    # chi_h(r^x s) = 0.  Compared as CycInts, entry by entry, up to the order
+    # of the rows.  Every dihedral catalog group, and one past the class cap
+    labels = [label for label in catalog if label.startswith("dihedral:") and "*" not in label]
+    assert len(labels) == 10
+    for label in labels + ["dihedral:100"]:
+        b = build(label)
+        T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
+        k, e = b.G.spec.args[0], T.conductor
+        x, y = b.G.rows[[b.S.classes[j].rep for j in T.class_order]].T.tolist()
+        zeta = lambda t: CycInt.root_power(e, t * (e // k))
+        linear = [
+            tuple(CycInt.integer(e, a**i * c**j) for i, j in zip(x, y)) for a in (1, -1)[: 2 - k % 2] for c in (1, -1)
+        ]
+        planar = [
+            tuple(zeta(h * i) + zeta(-h * i) if j == 0 else CycInt.integer(e, 0) for i, j in zip(x, y))
+            for h in range(1, (k + 1) // 2)
+        ]
+        assert collections.Counter(T.entries) == collections.Counter(linear + planar), label
 
 
 def test_sym3_table(build):

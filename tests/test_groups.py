@@ -161,6 +161,25 @@ def test_verify_axioms_names_the_first_sampled_line_that_is_not_a_permutation(se
             verify_axioms(G, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # 1 * 0 = 2, though 0 * x = x and x * x = 0 for every x
+        ([[0, 1, 2], [2, 0, 1], [2, 1, 0]], "identity fails at 1"),
+        # 1 * 1 = 2 and 2 * 1 = 0, so 1 has order 3 and its inverse is 2 on the
+        # left, but 1 * 2 = 3: no right inverse
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 0, 0, 1], [3, 2, 1, 0]], "inverse fails at 1"),
+        # identity, inverses (x * x = 0) and orders hold, but 2 does not divide 3
+        ([[0, 1, 2], [1, 0, 1], [2, 2, 0]], "exponent 2 inconsistent with n=3"),
+    ],
+)
+def test_verify_axioms_names_the_failing_law(table, message):
+    table = np.array(table)
+    G = GroupTable("magma", range(len(table)), lambda a, b: table[a, b], 0, range(1, len(table)))
+    with pytest.raises(GroupError, match=f"^'magma': {re.escape(message)}$"):
+        verify_axioms(G)
+
+
 def test_permutation_rows_across_blocks():
     # 100 lines of 1000 entries take two blocks; break one line in each
     rng = np.random.default_rng(3)
