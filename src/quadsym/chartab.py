@@ -28,9 +28,10 @@ once its images vanish mod primes with product Q > 2B, and is recovered by
 CRT and Lagrange interpolation, each quotient Phi_e / (X - x_t) one cumulative
 sum as Phi_e(x_t) = 0.  With C_e = max_k |z^k|_1, orthogonality takes B_orth =
 C_e * max sum_j h_j |chi_ij|_1 |chi_i2j|_1 + n for the rows alone: for the
-square table X, X H X* = n I gives X* X = n H^-1.  Once the column norms
-sum_i |chi_ij|^2 = c_j are decided, Hadamard bounds det at every embedding by
-(prod_j c_j)^(1/2), and the interpolation turns that into B_det (_det_bound).
+square table X, X H X* = n I gives X* X = n H^-1.  So the rows decide the
+column norms sum_i |chi_ij|^2 = c_j, and then Hadamard bounds det at every
+embedding by (prod_j c_j)^(1/2), which the interpolation turns into B_det
+(_det_bound).
 
 The table is one (m, m, phi) int64 array, CharacterTable.coeffs: a coefficient
 sums at most e multiplicities, each at most the degree, times coefficients of
@@ -674,7 +675,7 @@ def _orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable, every: bool) -
     m, n, e = T.m, G.n, T.conductor
     sizes = np.array([S.classes[j].size for j in T.class_order])
     # by Cauchy-Schwarz, sum_j h_j |chi_aj|_1 |chi_bj|_1 is largest at some a = b
-    sums = int((T.norms * T.norms * sizes).sum(axis=1).max())
+    sums = int(((T.norms * T.norms) @ sizes).max())
     primes = np.array(_primes(e, _basis(e).root_norm * sums + n, T.label))
     units = np.arange(_basis(e).phi if every else 1)  # index 0 is u = 1
     E = _table_images(T, primes, units)
@@ -682,10 +683,9 @@ def _orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable, every: bool) -
     P = primes.reshape(-1, 1, 1, 1)
     got = np.matmul(E * sizes % P, conj.swapaxes(-1, -2)) % P
     bad = (got != n * np.eye(m, dtype=np.int64) % P).any(axis=1)  # per prime
-    bad |= bad.swapaxes(-1, -2)
-    first = np.triu(bad.any(axis=0))
-    if first.any():
-        a, b = (int(x) for x in np.argwhere(first)[0])
+    if bad.any():
+        bad |= bad.swapaxes(-1, -2)
+        a, b = (int(x) for x in np.argwhere(np.triu(bad.any(axis=0)))[0])
         terms = (h * (x * galois_apply(y, -1)) for h, x, y in zip(sizes.tolist(), T.entries[a], T.entries[b]))
         raise CharTableError(
             f"{T.label}: row orthogonality fails at rows {a}, {b}: got {sum(terms, CycInt.integer(e, 0))}, "
@@ -720,40 +720,26 @@ def det_identities(
     the columns by the class power map; det^2 is 0 or 1 mod 4.
 
     The determinant is lifted under _det_bound, which holds once every
-    column j has norm sum_i chi_ij * conj(chi_ij) = c_j = n / h_j; that is
-    decided first, and a column that fails it raises CharTableError.
+    column j has norm sum_i chi_ij * conj(chi_ij) = c_j = n / h_j; the rows
+    decide that, so verify_orthogonality runs first and raises
+    CharTableError on a table that fails it.
 
-    Once the columns permute (_at_few_units), the norms are decided at u = 1
-    and det is eliminated there only, one matrix per prime (else at every
-    unit): det at any other u is sign(pi_u) * det at 1, pi_u from the power
-    chains, and the Galois checks compare those signs with the symbol (u/G).
+    Once the columns permute (_at_few_units), det is eliminated at u = 1
+    only, one matrix per prime (else at every unit): det at any other u is
+    sign(pi_u) * det at 1, pi_u from the power chains, and the Galois checks
+    compare those signs with the symbol (u/G).
     """
+    verify_orthogonality(G, S, T)
     return _at_few_units(lambda every: _det_identities(G, S, T, D, every), G, S, T)
 
 
 def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discriminant, every: bool) -> DetReport:
     e, m = T.conductor, T.m
     units = np.arange(_basis(e).phi if every else 1)  # index 0 is u = 1
-    centralizers = np.array([G.n // S.classes[j].size for j in T.class_order])
-    # a column norm minus c_j has coefficients below C_e * sum_i |chi_ij|_1^2 + n
-    col_bound = int(_basis(e).root_norm * (T.norms * T.norms).sum(axis=0).max() + G.n)
-    primes = _primes(e, col_bound, T.label)
-    E = _table_images(T, primes, units)
-    P = np.array(primes)[:, None, None]
-    conj = _table_images(T, primes, _unit_perm(e, -1)[units])
-    bad = (E * conj).sum(axis=2) % P != centralizers % P  # per prime, unit, column
-    if bad.any():
-        j = int(bad.any(axis=(0, 1)).argmax())
-        column = [row[j] for row in T.entries]
-        total = sum((x * galois_apply(x, -1) for x in column), CycInt.integer(e, 0))
-        raise CharTableError(
-            f"{T.label}: column {j} has norm {total}, want {centralizers[j]}, so Hadamard's "
-            f"bound on det does not hold (P = {P[bad[..., j].any(axis=1).argmax(), 0, 0]})"
-        )
-
+    centralizers = [G.n // S.classes[j].size for j in T.class_order]
     sym = symbol_character(G, S)
     tests = _basis(e).units.tolist() if every else unit_generators(e)
-    det_primes = np.array(_primes(e, _det_bound(e, centralizers.tolist()), T.label))
+    det_primes = np.array(_primes(e, _det_bound(e, centralizers), T.label))
     step = max(1, 2**22 // (len(units) * m * m))  # primes per elimination, about 32 MB of images
     chunks = [det_primes[k : k + step] for k in range(0, len(det_primes), step)]
     dets = [_rref_stack(_table_images(T, c, units).reshape(-1, m, m), c.repeat(len(units)))[1] for c in chunks]

@@ -199,7 +199,6 @@ def _cmd_chartab(args) -> int:
     split = real_complex_split(S)
     D = discriminant(G, S, split)
     T = chartab.character_table(G, S, split, seed=args.seed)
-    chartab.verify_orthogonality(G, S, T)
     det = chartab.det_identities(G, S, split, T, D)
     obj = {
         "label": G.label,

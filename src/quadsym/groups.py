@@ -529,7 +529,7 @@ def conjugacy_classes(G: GroupTable) -> ClassSet:
     for ci, orbit in enumerate(raw):
         size = len(orbit)
         if n % size:
-            raise GroupError(f"class size {size} does not divide {n}")
+            raise GroupError(f"{G.label!r}: class size {size} does not divide {n}")
         classes.append(
             ConjugacyClass(
                 rep=orbit[0],

@@ -940,19 +940,42 @@ def test_det_identities_detect_corruption(build):
         ("galois_permutes_columns", False, "a = 2, row 4, column 0"),
         ("det_squared_mod_4", False, "det^2 = 0 = 0 mod 4"),
     ]
-    # a zero row takes 1 from every column norm, which the bound on det needs
+    # a zero row takes 1 from every column norm, which the bound on det
+    # needs; the rows decide the column norms, and row 4 has norm 0
     rows = T.entries[:-1] + ((CycInt.integer(5, 0),) * 5,)
-    with pytest.raises(CharTableError, match=r"^cyclic:5: column 0 has norm 4, want 5, .* \(P = \d+\)$"):
+    want = r"^cyclic:5: row orthogonality fails at rows 4, 4: got 0, want 5 \(P = \d+\)$"
+    with pytest.raises(CharTableError, match=want):
         det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
 
 
-def test_det_identities_need_the_column_norms(build):
+def test_det_identities_decide_the_rows_first(build):
+    # column j doubled: row 0, the trivial character, gains 3 h_j in norm
     for label in ["cyclic:5", "sym:4", "perm:[(1 2 3 4 5 6 7),(1 2)(3 6)]"]:
         b, T = table_for(build, label)
         for j in range(T.m):
             rows = tuple(row[:j] + (2 * row[j],) + row[j + 1 :] for row in T.entries)
-            c = b.G.n // b.S.classes[T.class_order[j]].size
-            want = rf"^{re.escape(label)}: column {j} has norm {4 * c}, want {c}, "
+            h = b.S.classes[T.class_order[j]].size
+            want = rf"^{re.escape(label)}: row orthogonality fails at rows 0, 0: got {b.G.n + 3 * h}, want {b.G.n} "
+            with pytest.raises(CharTableError, match=want):
+                det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
+
+
+def test_det_identities_refuse_a_table_with_the_column_norms_but_not_the_rows(build):
+    # two entries of one column swapped keep every column norm, which is all
+    # the bound on det reads, but break the rows, so no det is reported
+    for label in ["sym:4", "cyclic:5"]:
+        b, T = table_for(build, label)
+        e = T.conductor
+        norms = lambda rows: [sum((x * galois_apply(x, -1) for x in col), CycInt.integer(e, 0)) for col in zip(*rows)]
+        for j in range(T.m):
+            column = [row[j] for row in T.entries]
+            i = next((i for i, x in enumerate(column) if x != column[0]), None)
+            if i is None:
+                continue
+            rows = [list(row) for row in T.entries]
+            rows[0][j], rows[i][j] = rows[i][j], rows[0][j]
+            assert norms(rows) == norms(T.entries), (label, j)
+            want = rf"^{re.escape(label)}: row orthogonality fails at rows \d+, \d+: got .*, want \d+ \(P = \d+\)$"
             with pytest.raises(CharTableError, match=want):
                 det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
 
@@ -1314,23 +1337,14 @@ def orthogonality_oracle(G, S, T):
 
 
 def det_identities_oracle(G, S, split, T, D):
+    # the column norms that _det_bound needs, decided with the rows
+    orthogonality_oracle(G, S, T)
     e = T.conductor
     centralizers = np.array([G.n // S.classes[j].size for j in T.class_order])
     norms = np.array([[l1(z) for z in row] for row in T.entries], dtype=object)
-    C = _basis(e).root_norm
-    col_bound = max(C * norms.max(), C * (norms * norms).sum(axis=0).max() + G.n)
-    found = images_oracle(T.entries, e, col_bound, T.label)
+    # sigma_a(chi_ij) - chi_ik has coefficients below (C_e + 1) max |chi|_1
+    found = images_oracle(T.entries, e, (_basis(e).root_norm + 1) * norms.max(), T.label)
     E = np.stack([E for _, _, E in found])
-    P = np.array([P for P, _, _ in found])[:, None, None]
-    bad = (E * E[:, _unit_perm(e, -1)]).sum(axis=2) % P != centralizers % P  # per prime, unit, column
-    if bad.any():
-        j = int(bad.any(axis=(0, 1)).argmax())
-        column = [row[j] for row in T.entries]
-        total = sum((x * galois_apply(x, -1) for x in column), CycInt.integer(e, 0))
-        raise CharTableError(
-            f"{T.label}: column {j} has norm {total}, want {centralizers[j]}, so Hadamard's "
-            f"bound on det does not hold (P = {P[bad[..., j].any(axis=1).argmax(), 0, 0]})"
-        )
 
     coeffs, Q, primes, s = [0] * _basis(e).phi, 1, [], []
     for P, interp, images in images_oracle(T.entries, e, _det_bound(e, centralizers.tolist()), T.label):
@@ -1446,7 +1460,7 @@ def test_rows_imply_the_columns(build, catalog):
 def test_existing_corruptions_match_the_oracles(build):
     # the inputs of test_orthogonality_detects_corruption,
     # test_det_identities_detect_corruption and
-    # test_det_identities_need_the_column_norms
+    # test_det_identities_decide_the_rows_first
     b, T = table_for(build, "sym:3")
     rows = [list(r) for r in T.entries]
     rows[2][1] = CycInt.integer(T.conductor, 1)

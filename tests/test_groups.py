@@ -180,6 +180,15 @@ def test_verify_axioms_names_the_failing_law(table, message):
         verify_axioms(G)
 
 
+def test_conjugacy_classes_names_the_group_whose_class_size_does_not_divide_n():
+    # x * x = 0 for every x, so 1 and 2 are their own inverses, and
+    # 1 * (2 * 1) = 1 puts them in one orbit of size 2, with n = 3
+    table = np.array([[0, 1, 2], [1, 0, 1], [2, 2, 0]])
+    G = GroupTable("magma", range(3), lambda a, b: table[a, b], 0, [1, 2])
+    with pytest.raises(GroupError, match="^'magma': class size 2 does not divide 3$"):
+        conjugacy_classes(G)
+
+
 def test_permutation_rows_across_blocks():
     # 100 lines of 1000 entries take two blocks; break one line in each
     rng = np.random.default_rng(3)
