@@ -10,10 +10,13 @@ the n x w array ``GroupTable.rows``.  A family's product maps two arrays of
 rows, shapes (..., w) broadcast together, to one: modular addition, a twisted
 sum (dihedral, quaternion), a gather of permutation images or of one GF(2^r)
 a c + b d per SL(2) entry, or both halves of a row for a direct product.
-``multiply_many`` multiplies each side's rows in its own shape, a block of the
+``_multiply`` multiplies each side's rows in its own shape, a block of the
 leading axis at a time, and looks each product up by a key read in place from
-its bytes, in an open-addressing hash table: so orders, classes, power maps,
-the axiom check and the closure multiply whole arrays at once.
+its bytes, in an open-addressing hash table, -1 where it is no element.  A
+group with n^2 <= 2^16 (n <= 256) tabulates all its products so in its
+constructor, an (n, n) int16 table read by one gather from then on; either
+way ``multiply_many`` raises on a -1 it was asked for.  So orders, classes,
+power maps, the axiom check and the closure multiply whole arrays at once.
 
 ``class_power_chains`` tabulates the class power map at every exponent in one
 array, by doubling, for chartab alone; ``class_power_map`` answers one
@@ -139,6 +142,9 @@ class GroupTable:
         self.n = len(rows)
         self._mul = mul
         self._init_slots(label)
+        # a small group's products are looked up once: -1 marks a non-element
+        every = np.arange(self.n)
+        self._table = self._multiply(every[:, None], every) if self.n**2 <= _BLOCK_VALUES else None
         named = [identity, *generators]
         found, miss = self._locate(np.array([_flat(x) for x in named]))
         if miss.any():
@@ -156,7 +162,8 @@ class GroupTable:
         # every pending row tries its slot, one claimant of each free slot wins
         self._key = _keys(self.rows, self.rows.dtype)
         self._bits = (8 * self.n - 1).bit_length()
-        self._slots = np.full(1 << self._bits, -1, np.int16 if self.n < 2**15 else np.intp)
+        self._slots = np.empty(1 << self._bits, np.int16 if self.n < 2**15 else np.intp)
+        self._slots.fill(-1)
         todo, h = np.arange(self.n), _hash(self._key, self._bits)
         while todo.size:
             free = self._slots[h] < 0
@@ -177,7 +184,7 @@ class GroupTable:
         found = self._slots.take(h)
         # an empty slot gathers the last element's key, which the probe for
         # that key meets at its own slot before any empty one
-        todo = np.flatnonzero(self._key.take(found) != keys)
+        todo = (self._key.take(found) != keys).nonzero()[0]
         h, miss = h[todo], np.zeros(len(keys), bool)
         while todo.size:
             live = found[todo] >= 0
@@ -189,21 +196,11 @@ class GroupTable:
         return found.reshape(shape), miss.reshape(shape)
 
     def multiply_many(self, I, J) -> np.ndarray:
-        """Indices of the products I * J over the broadcast index arrays, from each
-        side's rows in its own shape, a block of the leading axis at a time."""
+        """Indices of the products I * J over the broadcast index arrays: one
+        gather from the table of a small group, else ``_multiply``."""
         I, J = np.asarray(I), np.asarray(J)
-        shape = np.broadcast(I, J).shape
-        values = math.prod(shape) * self.rows.shape[1]
-        if values <= _BLOCK_VALUES:
-            return self._multiply(I, J)
-        step, out = max(1, _BLOCK_VALUES * shape[0] // values), np.empty(shape, self._slots.dtype)
-        for s in range(0, shape[0], step):
-            cut = (X[s : s + step] if X.ndim == len(shape) and len(X) > 1 else X for X in (I, J))
-            out[s : s + step] = self._multiply(*cut)
-        return out
-
-    def _multiply(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        found, miss = self._locate(self._mul(self.rows.take(I, axis=0), self.rows.take(J, axis=0)))
+        found = self._multiply(I, J) if self._table is None else self._table[I, J]
+        miss = found < 0
         if miss.any():
             at = np.unravel_index(miss.argmax(), miss.shape)
             x, y = (int(np.broadcast_to(X, miss.shape)[at]) for X in (I, J))
@@ -213,11 +210,26 @@ class GroupTable:
             )
         return found
 
+    def _multiply(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """The products' indices, -1 where a product is not an element, from
+        each side's rows in its own shape, a block of the leading axis at a time."""
+        block = lambda I, J: self._locate(self._mul(self.rows.take(I, axis=0), self.rows.take(J, axis=0)))[0]
+        shape = np.broadcast(I, J).shape
+        values = math.prod(shape) * self.rows.shape[1]
+        if values <= _BLOCK_VALUES:
+            return block(I, J)
+        step, out = max(1, _BLOCK_VALUES * shape[0] // values), np.empty(shape, self._slots.dtype)
+        for s in range(0, shape[0], step):
+            cut = (X[s : s + step] if X.ndim == len(shape) and len(X) > 1 else X for X in (I, J))
+            out[s : s + step] = block(*cut)
+        return out
+
     def power_many(self, I, k) -> np.ndarray:
         """Indices of I ** k for one exponent 0 <= k, or, for a list of them,
         of I ** k[s] at row s: one square-and-multiply, the squares shared."""
         ks, base = k if isinstance(k, list) else [k], np.array(I, dtype=np.intp)
-        out = np.full((len(ks),) + base.shape, self.identity_index)
+        out = np.empty((len(ks),) + base.shape, np.intp)
+        out.fill(self.identity_index)
         for bit in range(int(max(ks, default=0)).bit_length()):
             if bit:
                 base = self.multiply_many(base, base)
@@ -229,8 +241,8 @@ class GroupTable:
     def _init_orders(self) -> None:
         # powers of every element at once; an element leaves when it reaches e
         n, e = self.n, self.identity_index
-        orders = np.ones(n, dtype=np.int64)
-        inverse = np.full(n, e)
+        orders, inverse = np.empty((2, n), np.int64)
+        orders[e], inverse[e] = 1, e
         x = np.arange(n)[np.arange(n) != e]
         cur = x
         o = 1
@@ -520,8 +532,9 @@ def conjugacy_classes(G: GroupTable) -> ClassSet:
         label = label.take(label)
         if (label == last).all():
             break
-    members = np.argsort(label, kind="stable")  # each orbit's members in order
-    cuts, members = (np.flatnonzero(np.diff(label[members])) + 1).tolist(), members.tolist()
+    members = label.argsort(kind="stable")  # each orbit's members in order
+    label = label[members]
+    cuts, members = ((label[1:] != label[:-1]).nonzero()[0] + 1).tolist(), members.tolist()
     raw = [members[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
     raw.sort(key=lambda orbit: (G.element_order[orbit[0]], len(orbit), orbit[0]))
     classes = []
@@ -584,7 +597,7 @@ def class_power_chains(G: GroupTable, S: ClassSet) -> PowerChains:
     powers[:, 1] = [c.rep for c in S.classes]
     k = 1
     while k + 1 < order.max():
-        live = np.flatnonzero(order > k + 1)
+        live = (order > k + 1).nonzero()[0]
         powers[live, k + 1 : 2 * k + 1] = G.multiply_many(powers[live, 1 : k + 1], powers[live, k, None])
         k *= 2
     start = np.cumsum(order) - order
@@ -598,7 +611,7 @@ def class_power_map(G: GroupTable, S: ClassSet, a):
     several = isinstance(a, (list, tuple))
     for x in a if several else [a]:
         if math.gcd(x, G.n) != 1:
-            raise ValueError(f"{x} is not coprime to the group order {G.n}")
+            raise ValueError(f"{G.label!r}: {x} is not coprime to the group order {G.n}")
     powers = G.power_many([c.rep for c in S.classes], [x % G.n for x in (a if several else [a])])
     maps = [tuple(S.class_of[x] for x in row) for row in powers.tolist()]
     return maps if several else maps[0]
@@ -652,7 +665,7 @@ def verify_axioms(G: GroupTable, seed: int = 0) -> None:
     e = G.identity_index
     every = np.arange(n)
     inverse = np.array(G.inverse)
-    failed = np.stack([
+    failed = np.array([
         (G.multiply_many(e, every) != every) | (G.multiply_many(every, e) != every),
         (G.multiply_many(every, inverse) != e) | (G.multiply_many(inverse, every) != e),
         np.array([o < 1 or G.exponent % o != 0 for o in G.element_order]),
@@ -676,13 +689,13 @@ def verify_axioms(G: GroupTable, seed: int = 0) -> None:
             raise GroupError(f"{G.label!r}: generators reach only {reached.sum()} of {n} elements")
         blocks = [slice(s, s + _BLOCK_VALUES // n) for s in range(0, n, _BLOCK_VALUES // n)]
         for g in G.generators:
-            if not all(np.array_equal(t[t[x, g]], t[x, t[g]]) for x in blocks):
+            if not all((t[t[x, g]] == t[x, t[g]]).all() for x in blocks):
                 raise GroupError(f"{G.label!r}: associativity fails with generator {g}")
         return
     rng = _seeded_rng(seed, G.label, "latin")
     lines = np.array(sorted(rng.sample(range(n), min(n, 48))))
     pairs = ((lines[:, None], every), (every, lines[:, None]))  # rows, then columns
-    failed = ~np.stack([_permutation_rows(G.multiply_many(*pair)) for pair in pairs])
+    failed = ~np.array([_permutation_rows(G.multiply_many(*pair)) for pair in pairs])
     if failed.any():
         k = int(failed.any(axis=0).argmax())
         what = ("row", "column")[int(failed[:, k].argmax())]

@@ -452,8 +452,11 @@ def test_class_power_map_takes_several_exponents(monkeypatch):
         class_power_map(G, S, units)
         assert calls <= 2 * max(units).bit_length(), (label, calls)
         assert class_power_map(G, S, []) == []
-        with pytest.raises(ValueError, match=f"^{G.n} is not coprime"):
-            class_power_map(G, S, [1, G.n])
+        # the error names the group, for a list of exponents and for one
+        want = "^" + re.escape(f"{label!r}: {G.n} is not coprime to the group order")
+        for a in ([1, G.n], G.n):
+            with pytest.raises(ValueError, match=want):
+                class_power_map(G, S, a)
 
 
 def test_class_power_map_properties():
@@ -595,6 +598,27 @@ def test_lookup_finds_every_element_and_nothing_else():
         assert G.multiply_many(np.arange(0), np.arange(0)).shape == (0,), text
     assert G.rows.dtype == np.int16 and G._key.dtype == np.int64
     assert group("sym:5*sym:4")._key.dtype.itemsize == 9
+
+
+def test_small_groups_multiply_from_their_table():
+    # n^2 <= _BLOCK_VALUES: the constructor tabulates every product once, and
+    # each lookup equals the row kernel's product
+    untabled = []
+    for text in [*default_catalog(), "cyclic:100", "cyclic:128"]:
+        G = group(text)
+        if G._table is None:
+            untabled.append(text)
+            continue
+        every = np.arange(G.n)
+        assert G.n**2 <= _BLOCK_VALUES and G._table.dtype == np.int16, text
+        assert np.array_equal(G._table, G._multiply(every[:, None], every)), text
+    assert sorted(untabled) == ["sl2:16", "sl2:8", "sym:6"]
+    # a product outside the elements is stored as -1 and raises only when asked for
+    leaky = GroupTable("leaky", range(4), lambda a, b: np.where(a == b, 0, a + b), 0, [1, 2])
+    assert leaky._table.tolist() == [[0, 1, 2, 3], [1, 0, 3, -1], [2, 3, 0, -1], [3, -1, -1, 0]]
+    assert leaky.multiply_many([[0], [1]], [1, 2]).tolist() == [[1, 2], [0, 3]]
+    with pytest.raises(GroupError, match=r"'leaky': the product of elements 2 and 3 \(2 \* 3\)"):
+        leaky.multiply_many([0, 1, 2, 2, 1], [0, 2, 0, 3, 3])
 
 
 def test_lookup_against_a_dict_of_rows():
