@@ -44,7 +44,8 @@ column j to column pi_a(j), pi_a the class power map, at every unit once it
 does at the generators of (Z/e)^x.  That is decided first and exactly; then
 each relation is decided at u = 1, and det is eliminated at u = 1 only, one
 matrix per prime, as det at u is sign(pi_u) det at 1.  If a check fails,
-all of them run again at every unit (_at_few_units).
+all of them run again at every unit (_at_few_units).  Each public call
+decides anew, and the checks keep nothing on the table.
 """
 from __future__ import annotations
 
@@ -347,13 +348,13 @@ def _det_bound(e: int, centralizers: Sequence[int]) -> int:
     return -(-top // num)
 
 
-def _lift(e: int, primes: Sequence[int], interps: Sequence[np.ndarray], s: np.ndarray) -> CycInt:
+def _lift(e: int, primes: Sequence[int], s: np.ndarray) -> CycInt:
     """The element of Z[z] whose images mod primes[k], at every unit in
-    order, are s[k], interps[k] being the interpolation matrix mod primes[k];
-    its coefficients must be below half the product of the primes in size."""
+    order, are s[k]; its coefficients must be below half the product of the
+    primes in size."""
     coeffs, Q = [0] * _basis(e).phi, 1
-    for P, interp, images in zip(primes, interps, s):
-        residues = (interp @ images % P).tolist()
+    for P, images in zip(primes, s):
+        residues = (_embedding_maps(e, P)[1] @ images % P).tolist()
         t = pow(Q, -1, P)
         coeffs = [x + Q * ((r - x) * t % P) for x, r in zip(coeffs, residues)]
         Q *= P
@@ -494,7 +495,8 @@ class CharacterTable:
     the ClassSet indices: real classes first, then inverse pairs).  The table
     is ``coeffs``, each entry's coefficients over the power basis in one
     (m, m, phi) array, int64 from character_table (bounded as the module
-    docstring says); ``entries`` decodes it into CycInts on first read."""
+    docstring says); ``entries`` decodes it into CycInts on first read.  It
+    is a value: the checks read it and keep nothing on it."""
 
     label: str
     conductor: int
@@ -505,12 +507,6 @@ class CharacterTable:
     # the class power map in column order: z -> z^a moves column j to column
     # chains.at(a)[j]; computed again from the group when absent
     chains: Optional[PowerChains] = field(default=None, repr=False)
-    # what the checks computed from ``coeffs``, which a copy made by replace
-    # starts without: per prime P, the embedding maps mod P and the images by
-    # unit index (_table_images); [whether the Galois action permutes the
-    # columns] once decided (_at_few_units)
-    images: dict = field(init=False, default_factory=dict, repr=False)
-    galois: list = field(init=False, default_factory=list, repr=False)
 
     def __eq__(self, other):  # the generated == would take an array's truth value
         head = lambda T: (T.label, T.conductor, T.prime, T.class_order, T.degrees)
@@ -609,24 +605,25 @@ def character_table(
 
 def _table_images(T: CharacterTable, primes: Sequence[int], units: np.ndarray) -> np.ndarray:
     """The table mod each of ``primes`` at the unit indices ``units``, shape
-    (primes, units, m, m); each image is computed once per table."""
-    m, out = T.m, []
-    for P in map(int, primes):
-        if P not in T.images:
-            T.images[P] = _embedding_maps(T.conductor, P), {}
-        (vander, _), found = T.images[P]
-        new = [t for t in units.tolist() if t not in found]
-        if new:
-            # every int64 dot product here and in the checks sums at most
-            # max(phi, m) products of residues; only the powers of z that
-            # some entry uses are reduced and take part (a rational table:
-            # z^0 alone)
-            assert max(vander.shape[1], m) * (P - 1) ** 2 < 2**63, (vander.shape, m, P)
-            flat = T.coeffs.reshape(m * m, -1)
-            used = np.flatnonzero(flat.any(axis=0))
-            found.update(zip(new, (vander[new][:, used] @ (flat[:, used] % P).T % P).reshape(len(new), m, m)))
-        out.append([found[t] for t in units.tolist()])
-    return np.array(out, dtype=np.int64).reshape(len(out), len(units), m, m)
+    (primes, units, m, m), a fresh array."""
+    m = T.m
+    # only the powers of z that some entry uses take part (a rational table:
+    # z^0 alone); take gives C order, on which numpy's int64 product is
+    # several times faster than on what fancy indexing gives
+    flat = T.coeffs.reshape(m * m, -1)
+    used = np.flatnonzero(flat.any(axis=0))
+    flat = flat.take(used, axis=1)
+    top = np.abs(flat).max(initial=0)
+    out = np.empty((len(primes), len(units), m, m), dtype=np.int64)
+    for E, P in zip(out, map(int, primes)):
+        vander = _embedding_maps(T.conductor, P)[0]
+        # every int64 dot product here and in the checks sums at most
+        # max(phi, m) products of residues, or of coefficients below P in
+        # size, which are reduced first only where they are not
+        assert max(vander.shape[1], m) * (P - 1) ** 2 < 2**63, (vander.shape, m, P)
+        A = flat if top < P else flat % P
+        E[:] = (A @ np.ascontiguousarray(vander[units][:, used].T) % P).T.reshape(len(units), m, m)
+    return out
 
 
 def _column_witness(G: GroupTable, S: ClassSet, T: CharacterTable, tests: Sequence[int]):
@@ -639,20 +636,18 @@ def _column_witness(G: GroupTable, S: ClassSet, T: CharacterTable, tests: Sequen
     primes = _primes(e, (_basis(e).root_norm + 1) * T.norms.max(), T.label)
     E = _table_images(T, primes, np.arange(_basis(e).phi))
     for a in tests:
-        moved = np.argwhere((E[:, _unit_perm(e, a)] != E[..., chains.at(a)]).any(axis=(0, 1)))
+        moved = np.argwhere((E[:, _unit_perm(e, a)] != E.take(chains.at(a), axis=-1)).any(axis=(0, 1)))
         if moved.size:
             return (a, *moved[0].tolist())
 
 
 def _at_few_units(check, G: GroupTable, S: ClassSet, T: CharacterTable):
     """check(every=False) if z -> z^g moves column j to column
-    chains.at(g)[j] at each generator g of (Z/e)^x (decided once per table
-    by _column_witness), and that neither raises CharTableError nor reports a
-    failure; else check(every=True), which gives every report."""
+    chains.at(g)[j] at each generator g of (Z/e)^x (_column_witness), and
+    that neither raises CharTableError nor reports a failure; else
+    check(every=True), which gives every report."""
     try:
-        if not T.galois:
-            T.galois.append(_column_witness(G, S, T, unit_generators(T.conductor)) is None)
-        if T.galois[0]:
+        if _column_witness(G, S, T, unit_generators(T.conductor)) is None:
             report = check(every=False)
             if report is None or report.ok:
                 return report
@@ -721,16 +716,17 @@ def det_identities(
 
     The determinant is lifted under _det_bound, which holds once every
     column j has norm sum_i chi_ij * conj(chi_ij) = c_j = n / h_j; the rows
-    decide that, so verify_orthogonality runs first and raises
-    CharTableError on a table that fails it.
+    decide that, so they are decided first, and a table whose rows fail
+    raises CharTableError.
 
-    Once the columns permute (_at_few_units), det is eliminated at u = 1
-    only, one matrix per prime (else at every unit): det at any other u is
-    sign(pi_u) * det at 1, pi_u from the power chains, and the Galois checks
-    compare those signs with the symbol (u/G).
+    Both run under one Galois decision (_at_few_units): once the columns
+    permute, det is eliminated at u = 1 only, one matrix per prime (else at
+    every unit, the rows too): det at any other u is sign(pi_u) * det at 1,
+    pi_u from the power chains, and the Galois checks compare those signs
+    with the symbol (u/G).
     """
-    verify_orthogonality(G, S, T)
-    return _at_few_units(lambda every: _det_identities(G, S, T, D, every), G, S, T)
+    check = lambda every: _orthogonality(G, S, T, every) or _det_identities(G, S, T, D, every)
+    return _at_few_units(check, G, S, T)
 
 
 def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discriminant, every: bool) -> DetReport:
@@ -748,7 +744,7 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
         chains = T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
         pis = map(tuple, chains.at(_basis(e).units[:, None]).tolist())  # pi_u by unit; few differ
         dets = np.array(list(map(lru_cache(None)(permutation_parity), pis))) * dets % det_primes[:, None]
-    det = _lift(e, det_primes.tolist(), [T.images[P][0][1] for P in det_primes.tolist()], dets)
+    det = _lift(e, det_primes.tolist(), dets)
     checks = []
 
     det2 = det * det

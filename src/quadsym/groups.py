@@ -13,8 +13,8 @@ a c + b d per SL(2) entry, or both halves of a row for a direct product.
 ``_multiply`` multiplies each side's rows in its own shape, a block of the
 leading axis at a time, and looks each product up by a key read in place from
 its bytes, in an open-addressing hash table, -1 where it is no element.  A
-group with n^2 <= 2^16 (n <= 256) tabulates all its products so in its
-constructor, an (n, n) int16 table read by one gather from then on; either
+group whose n^2 products span n^2 w <= 2^17 row values tabulates them so in
+its constructor, an (n, n) int16 table read by one gather from then on; either
 way ``multiply_many`` raises on a -1 it was asked for.  So orders, classes,
 power maps, the axiom check and the closure multiply whole arrays at once.
 
@@ -142,9 +142,11 @@ class GroupTable:
         self.n = len(rows)
         self._mul = mul
         self._init_slots(label)
-        # a small group's products are looked up once: -1 marks a non-element
+        # a small group's products are looked up once, from at most two blocks
+        # of row values: -1 marks a non-element
         every = np.arange(self.n)
-        self._table = self._multiply(every[:, None], every) if self.n**2 <= _BLOCK_VALUES else None
+        small = self.n**2 * self.rows.shape[1] <= 2 * _BLOCK_VALUES
+        self._table = self._multiply(every[:, None], every) if small else None
         named = [identity, *generators]
         found, miss = self._locate(np.array([_flat(x) for x in named]))
         if miss.any():

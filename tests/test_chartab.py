@@ -16,6 +16,7 @@ from quadsym.chartab import (
     CycInt,
     DetReport,
     _basis,
+    _column_witness,
     _common_eigenvectors,
     _derivative_bound,
     _det_bound,
@@ -37,7 +38,7 @@ from quadsym.chartab import (
 )
 from quadsym.groups import OrderCapExceeded, PowerChains, class_power_chains, conjugacy_classes, make_group
 from quadsym.groupspec import parse_group_spec
-from quadsym.ntheory import factorize, fundamental_discriminant, primitive_root
+from quadsym.ntheory import factorize, fundamental_discriminant, primitive_root, unit_generators
 from quadsym.reciprocity import CheckResult, _check, discriminant, real_complex_split, symbol_character
 
 
@@ -654,7 +655,7 @@ def modular_det(rows, e, bound, label):
     primes = _primes(e, bound, label)
     E = _table_images(T, primes, np.arange(_basis(e).phi))
     s = np.array([det_stack(images, P) for P, images in zip(primes, E)])
-    return _lift(e, primes, [T.images[P][0][1] for P in primes], s), np.array(primes), s
+    return _lift(e, primes, s), np.array(primes), s
 
 
 def test_modular_det_matches_leibniz():
@@ -1171,9 +1172,8 @@ def test_chartab_builds_the_embedding_maps_once_per_prime(monkeypatch, capsys):
     cached.cache_clear()
     assert cli.main(["chartab", "sym:7", "--json"]) == 0
     out = capsys.readouterr().out
-    # each prime's images are computed once per table, and each computation
-    # asks for that prime's maps once
-    assert len(asked) == len(set(asked)) == cached.cache_info().misses == 3
+    # each prime's maps are built once, whichever checks ask for them
+    assert cached.cache_info().misses == 3 and set(asked) == {(420, _embedding_prime(420, k)) for k in range(3)}
     vander, interp = cached(*asked[0])
     assert not vander.flags.writeable and not interp.flags.writeable
     # the bytes of a cold cache, of a warm one, and of the benchmark's reference
@@ -1185,36 +1185,47 @@ def test_chartab_builds_the_embedding_maps_once_per_prime(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
-def test_table_images_are_kept_per_table(build):
-    def record(T):
-        return {P: dict(found) for P, (_, found) in T.images.items()}
-
-    def same(old, new):
-        return old.keys() == new.keys() and all(
-            old[P].keys() == new[P].keys() and all(old[P][t] is new[P][t] for t in old[P]) for P in old
-        )
-
+def test_checks_keep_no_state_on_the_table(build):
+    # a table is a value: the checks add nothing to it but the two cached
+    # properties their error texts and bounds read, on the few-units path and
+    # on the every-unit one (sl2:8, and cyclic:5 with its last row times z)
     b, T = table_for(build, "sl2:8")
-    verify_orthogonality(b.G, b.S, T)
-    after_orthogonality = record(T)
-    det_identities(b.G, b.S, b.split, T, b.D)
-    # one record per prime: the embedding maps, and the images by unit
-    # index; the first prime's cover all 36 units mod e = 126, to decide the
-    # Galois action, the second's only u = 1, where det is eliminated
-    first, second = _embedding_prime(126, 0), _embedding_prime(126, 1)
-    assert list(T.images) == [first, second]
-    assert all(T.images[P][0] is _embedding_maps(126, P) for P in T.images)
-    assert sorted(T.images[first][1]) == list(range(36))
-    assert sorted(_basis(126).units[t] for t in T.images[second][1]) == [1]
-    # each prime's image at a unit is computed once per table: det_identities
-    # keeps what verify_orthogonality computed, and a second run adds nothing
-    kept = record(T)
-    assert all(kept[P][t] is E for P, found in after_orthogonality.items() for t, E in found.items())
-    verify_orthogonality(b.G, b.S, T)
-    det_identities(b.G, b.S, b.split, T, b.D)
-    assert same(kept, record(T))
-    # a table made from this one by replace starts without images
-    assert dataclasses.replace(T, coeffs=T.coeffs).images == {}
+    c, C = table_for(build, "cyclic:5")
+    z = CycInt.root_power(5, 1)
+    bad = with_rows(C, C.entries[:-1] + (tuple(x * z for x in C.entries[-1]),))
+    for b, T, ok in [(b, T, True), (c, bad, False)]:
+        before = dict(vars(T))
+        reports = []
+        for _ in range(2):
+            verify_orthogonality(b.G, b.S, T)
+            reports.append(det_identities(b.G, b.S, b.split, T, b.D))
+        assert reports[0] == reports[1] and reports[0].ok == ok, T.label
+        assert set(vars(T)) - set(before) <= {"norms", "entries"}, sorted(vars(T))
+        assert all(vars(T)[k] is v for k, v in before.items()), T.label
+        # a copy made by replace gives the same report
+        assert det_identities(b.G, b.S, b.split, dataclasses.replace(T), b.D) == reports[0], T.label
+
+
+def test_det_identities_decides_the_galois_action_once(build, monkeypatch):
+    # one _column_witness at the generators of (Z/e)^x per call, and one more
+    # at every unit where the checks run again at every unit
+    from quadsym import chartab
+
+    asked = []
+    original = chartab._column_witness
+    monkeypatch.setattr(chartab, "_column_witness", lambda G, S, T, tests: asked.append(list(tests)) or original(G, S, T, tests))
+    for label in ["sym:7", "sl2:8", "cyclic:5", PSL27]:
+        b, T = table_for(build, label)
+        asked.clear()
+        assert det_identities(b.G, b.S, b.split, T, b.D).ok, label
+        assert asked == [list(chartab.unit_generators(T.conductor))], (label, asked)
+    # cyclic:5 with its last row times z fails the decision and det
+    b, T = table_for(build, "cyclic:5")
+    z = CycInt.root_power(5, 1)
+    bad = with_rows(T, T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),))
+    asked.clear()
+    assert not det_identities(b.G, b.S, b.split, bad, b.D).ok
+    assert asked == [list(chartab.unit_generators(5)), _basis(5).units.tolist()], asked
 
 
 def test_det_is_eliminated_once_per_prime(build, monkeypatch):
@@ -1238,7 +1249,8 @@ def test_det_is_eliminated_once_per_prime(build, monkeypatch):
     stacked.clear()
     assert not det_identities(b.G, b.S, b.split, bad, b.D).ok
     det_primes = _primes(5, _det_bound(5, [5] * 5), T.label)
-    assert bad.galois == [False] and sum(stacked) == len(det_primes) * _basis(5).phi, stacked
+    assert _column_witness(b.G, b.S, bad, unit_generators(5)) is not None
+    assert sum(stacked) == len(det_primes) * _basis(5).phi, stacked
 
 
 def test_galois_checks_compare_the_table_with_the_symbol(build, monkeypatch):
@@ -1426,7 +1438,8 @@ def assert_checks_match_the_oracles(b, T):
     # the Galois action the checks decided at the generators, against every
     # unit in exact arithmetic, where that is quick
     if _basis(T.conductor).phi * T.m**2 <= 5000:
-        assert shared.galois == [galois_oracle(b, T)], T.label
+        decided = _column_witness(b.G, b.S, shared, unit_generators(T.conductor)) is None
+        assert decided == galois_oracle(b, T), T.label
     return want_orth, want_det
 
 

@@ -601,18 +601,24 @@ def test_lookup_finds_every_element_and_nothing_else():
 
 
 def test_small_groups_multiply_from_their_table():
-    # n^2 <= _BLOCK_VALUES: the constructor tabulates every product once, and
-    # each lookup equals the row kernel's product
+    # n^2 w <= 2 _BLOCK_VALUES row values: the constructor tabulates every
+    # product once, and each lookup equals the row kernel's product; a wide
+    # group of 256 permutations of 1024 points is not tabulated
+    wide = "perm:[({}),({})]".format(" ".join(map(str, range(1, 17))), " ".join(map(str, range(1009, 1025))))
     untabled = []
-    for text in [*default_catalog(), "cyclic:100", "cyclic:128"]:
+    for text in [*default_catalog(), "cyclic:100", "cyclic:128", "dihedral:12*sym:4", wide]:
         G = group(text)
         if G._table is None:
             untabled.append(text)
             continue
         every = np.arange(G.n)
-        assert G.n**2 <= _BLOCK_VALUES and G._table.dtype == np.int16, text
+        assert G.n**2 * G.rows.shape[1] <= 2 * _BLOCK_VALUES and G._table.dtype == np.int16, text
         assert np.array_equal(G._table, G._multiply(every[:, None], every)), text
-    assert sorted(untabled) == ["sl2:16", "sl2:8", "sym:6"]
+    assert sorted(untabled) == ["dihedral:12*sym:4", wide, "sl2:16", "sl2:8", "sym:6"]
+    G = group(wide)
+    assert (G.n, G.rows.shape[1]) == (256, 1024)
+    I, J = np.arange(0, G.n, 5)[:, None], np.arange(0, G.n, 7)
+    assert np.array_equal(G.multiply_many(I, J), G._locate(G._mul(G.rows[I], G.rows[J]))[0])
     # a product outside the elements is stored as -1 and raises only when asked for
     leaky = GroupTable("leaky", range(4), lambda a, b: np.where(a == b, 0, a + b), 0, [1, 2])
     assert leaky._table.tolist() == [[0, 1, 2, 3], [1, 0, 3, -1], [2, 3, 0, -1], [3, -1, -1, 0]]
