@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import (
-    ClassSet, GroupTable, OrderCapExceeded, PowerChains, _seeded_rng, class_power_chains, permutation_parity
+    ClassSet, GroupTable, OrderCapExceeded, _seeded_rng, class_power_chains, permutation_parity
 )
 from .ntheory import factorize, is_prime, primitive_root, unit_generators
 from .reciprocity import CheckResult, Discriminant, RealComplexSplit, _check, symbol_character
@@ -504,9 +504,9 @@ class CharacterTable:
     class_order: tuple[int, ...]
     degrees: tuple[int, ...]
     coeffs: np.ndarray
-    # the class power map in column order: z -> z^a moves column j to column
-    # chains.at(a)[j]; computed again from the group when absent
-    chains: Optional[PowerChains] = field(default=None, repr=False)
+    # the class power map in column order, (m, e): z -> z^a moves column j to
+    # column chains[j, a % e]; computed again from the group when absent
+    chains: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __eq__(self, other):  # the generated == would take an array's truth value
         head = lambda T: (T.label, T.conductor, T.prime, T.class_order, T.degrees)
@@ -541,11 +541,10 @@ def character_table(
     e = G.exponent
     n = G.n
     cols = split.order
-    pos = {j: t for t, j in enumerate(cols)}
     sizes = [S.classes[j].size for j in cols]
     reps = [S.classes[j].rep for j in cols]
-    inv_pos = [pos[S.inverse_class[j]] for j in cols]
-    chains = class_power_chains(G, S).relabel(cols)
+    orders = np.array([S.classes[j].rep_order for j in cols])
+    chains = _chains(G, S, cols)
 
     P = _choose_prime(e, n)
     cls_pos = np.argsort(cols)[np.array(S.class_of)]  # each element's column
@@ -559,7 +558,7 @@ def character_table(
     size_inv, W = [pow(h, -1, P) for h in sizes], np.array(omegas)
     roots = {r * r % P: r for r in range((P + 1) // 2)}  # each square's root below P / 2
     degrees = []
-    for s in ((W * W[:, inv_pos] % P * size_inv % P).sum(axis=1) % P).tolist():
+    for s in ((W * W[:, chains[:, -1]] % P * size_inv % P).sum(axis=1) % P).tolist():
         if s == 0:
             raise CharTableError(f"{G.label}: a degree sum vanished (P = {P})")
         d2 = n * pow(s, -1, P) % P
@@ -581,15 +580,15 @@ def character_table(
     chi_mod = degs[:, None] * W % P * size_inv % P
     coeffs = np.empty((m, m, basis.phi), dtype=np.int64)
     over = []  # per block, the first (column, multiplicity, degree) with a multiplicity above the degree
-    for o in sorted(set(chains.order.tolist())):
+    for o in sorted(set(orders.tolist())):
         # mu[i, j, k]: the multiplicity of w^(step * k) as an eigenvalue of
         # character i at rep_j, a discrete Fourier coefficient along its
         # powers; one product for the columns of order o, a block at a time
         step, k = e // o, np.arange(o)
         dft = inv_powers[np.outer(k, k) * step % e] * pow(o, -1, P) % P
-        same, block = np.flatnonzero(chains.order == o), max(1, 2**18 // (m * o))  # 2 MB a product
+        same, block = np.flatnonzero(orders == o), max(1, 2**18 // (m * o))  # 2 MB a product
         for J in (same[s : s + block] for s in range(0, len(same), block)):
-            mu = chi_mod[:, chains.flat[chains.start[J, None] + k]] @ dft % P
+            mu = chi_mod[:, chains[J, :o]] @ dft % P
             bad = np.argwhere(mu.swapaxes(0, 1) > degs[:, None])[:1]  # the block's first, in column order
             over += [(J[j], mu[i, j, t], degs[i]) for j, i, t in bad]
             coeffs[:, J] = mu @ basis.rows[step * k]
@@ -601,6 +600,12 @@ def character_table(
     trivial = (coeffs == basis.rows[0]).all(axis=(1, 2))
     order = sorted(range(m), key=lambda i: (degrees[i], not trivial[i], coeffs[i].tolist()))
     return CharacterTable(G.label, e, P, tuple(cols), tuple(degrees[i] for i in order), coeffs[order], chains)
+
+
+def _chains(G: GroupTable, S: ClassSet, cols: Sequence[int], chains=None) -> np.ndarray:
+    """``chains`` if given, else class_power_chains in the column order ``cols``:
+    entry [t, a] is the column of rep^a for the class in column t."""
+    return chains if chains is not None else np.argsort(cols)[class_power_chains(G, S)[list(cols)]]
 
 
 def _table_images(T: CharacterTable, primes: Sequence[int], units: np.ndarray) -> np.ndarray:
@@ -628,22 +633,22 @@ def _table_images(T: CharacterTable, primes: Sequence[int], units: np.ndarray) -
 
 def _column_witness(G: GroupTable, S: ClassSet, T: CharacterTable, tests: Sequence[int]):
     """The first (a, i, j), a in ``tests``, where z -> z^a does not move
-    chi_ij to column chains.at(a)[j], or None.  Decided exactly on the images
+    chi_ij to column chains[j, a % e], or None.  Decided exactly on the images
     at every unit of the first primes, whose product exceeds twice (C_e + 1)
     max |chi|_1, a bound on sigma_a(chi_ij) - chi_ik."""
     e = T.conductor
-    chains = T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
+    chains = _chains(G, S, T.class_order, T.chains)
     primes = _primes(e, (_basis(e).root_norm + 1) * T.norms.max(), T.label)
     E = _table_images(T, primes, np.arange(_basis(e).phi))
     for a in tests:
-        moved = np.argwhere((E[:, _unit_perm(e, a)] != E.take(chains.at(a), axis=-1)).any(axis=(0, 1)))
+        moved = np.argwhere((E[:, _unit_perm(e, a)] != E.take(chains[:, a % e], axis=-1)).any(axis=(0, 1)))
         if moved.size:
             return (a, *moved[0].tolist())
 
 
 def _at_few_units(check, G: GroupTable, S: ClassSet, T: CharacterTable):
     """check(every=False) if z -> z^g moves column j to column
-    chains.at(g)[j] at each generator g of (Z/e)^x (_column_witness), and
+    chains[j, g % e] at each generator g of (Z/e)^x (_column_witness), and
     that neither raises CharTableError nor reports a failure; else
     check(every=True), which gives every report."""
     try:
@@ -722,8 +727,8 @@ def det_identities(
     Both run under one Galois decision (_at_few_units): once the columns
     permute, det is eliminated at u = 1 only, one matrix per prime (else at
     every unit, the rows too): det at any other u is sign(pi_u) * det at 1,
-    pi_u from the power chains, and the Galois checks compare those signs
-    with the symbol (u/G).
+    pi_u a column of the power chains, and the Galois checks compare those
+    signs with the symbol (u/G).
     """
     check = lambda every: _orthogonality(G, S, T, every) or _det_identities(G, S, T, D, every)
     return _at_few_units(check, G, S, T)
@@ -741,8 +746,7 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
     dets = [_rref_stack(_table_images(T, c, units).reshape(-1, m, m), c.repeat(len(units)))[1] for c in chunks]
     dets = np.concatenate(dets).reshape(len(det_primes), len(units))
     if not every:  # z -> z^u permutes the columns by pi_u (_column_witness): det at u is sign(pi_u) det at 1
-        chains = T.chains if T.chains is not None else class_power_chains(G, S).relabel(T.class_order)
-        pis = map(tuple, chains.at(_basis(e).units[:, None]).tolist())  # pi_u by unit; few differ
+        pis = map(tuple, _chains(G, S, T.class_order, T.chains)[:, _basis(e).units % e].T.tolist())
         dets = np.array(list(map(lru_cache(None)(permutation_parity), pis))) * dets % det_primes[:, None]
     det = _lift(e, det_primes.tolist(), dets)
     checks = []

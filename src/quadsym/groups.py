@@ -18,9 +18,9 @@ its constructor, an (n, n) int16 table read by one gather from then on; either
 way ``multiply_many`` raises on a -1 it was asked for.  So orders, classes,
 power maps, the axiom check and the closure multiply whole arrays at once.
 
-``class_power_chains`` tabulates the class power map at every exponent in one
-array, by doubling, for chartab alone; ``class_power_map`` answers one
-exponent, or several from one square-and-multiply ladder (``power_many``).
+``class_power_chains`` tabulates the class power map at every exponent, by
+doubling, as one (m, e) array for chartab alone; ``class_power_map`` answers
+one exponent, or several from one square-and-multiply ladder (``power_many``).
 """
 from __future__ import annotations
 
@@ -70,13 +70,6 @@ def _seeded_rng(seed: int, label: str, salt: str = "") -> random.Random:
     return random.Random(f"{seed}:{label}:{salt}")
 
 
-def _flat(enc: object) -> tuple[int, ...]:
-    """An encoding's row: its integers in order, nested tuples flattened."""
-    if isinstance(enc, (tuple, list)):
-        return tuple(v for part in enc for v in _flat(part))
-    return (enc,)  # type: ignore[return-value]
-
-
 def _keys(rows: np.ndarray, dtype) -> np.ndarray:
     """One opaque key per row of a (..., w) array, equal exactly when the rows are:
     up to 8 bytes read in place, the p-byte part at size & (p - 1), else bytes."""
@@ -113,10 +106,10 @@ class GroupTable:
     """A finite group with elements indexed 0..n-1 in encoding order.
 
     ``rows`` holds the elements as an n x w integer array and ``elements``
-    their encodings, for printing: given as such (rows default to them
-    flattened), or as a function that decodes (k, w) rows into k encodings,
-    called on first read.  ``mul`` multiplies two arrays of rows, shapes
-    (..., w) broadcast together; ``identity`` and ``generators`` are encodings.
+    their encodings, for printing: given as such (rows default to them, flat
+    tuples or integers), or as a function that decodes (k, w) rows into k
+    encodings, called on first read.  ``mul`` multiplies two arrays of rows,
+    shapes (..., w) broadcast together; ``identity`` and ``generators`` are rows.
     """
 
     def __init__(
@@ -137,7 +130,7 @@ class GroupTable:
             self.__dict__["elements"] = known = tuple(elements)
             self._decode = lambda rows: [known[i] for i in self._locate(rows)[0].tolist()]
             if rows is None:
-                rows = np.array([_flat(x) for x in known]).reshape(len(known), -1)
+                rows = np.array(known).reshape(len(known), -1)
         self.rows = rows
         self.n = len(rows)
         self._mul = mul
@@ -148,7 +141,7 @@ class GroupTable:
         small = self.n**2 * self.rows.shape[1] <= 2 * _BLOCK_VALUES
         self._table = self._multiply(every[:, None], every) if small else None
         named = [identity, *generators]
-        found, miss = self._locate(np.array([_flat(x) for x in named]))
+        found, miss = self._locate(np.array(named).reshape(len(named), -1))
         if miss.any():
             raise GroupError(f"{label!r}: {named[miss.argmax()]} is not an element")
         self.identity_index = int(found[0])
@@ -478,13 +471,13 @@ def direct_product(
     )
     ldecode, rdecode = left._decode, right._decode
     decode = lambda rows: list(zip(ldecode(rows[:, :w]), rdecode(rows[:, w:])))
-    e_left, *gl = ldecode(left.rows[[left.identity_index, *left.generators]])  # these only
-    e_right, *gr = rdecode(right.rows[[right.identity_index, *right.generators]])
-    gens = [(g, e_right) for g in gl] + [(e_left, g) for g in gr]
+    e_left, e_right = left.rows[left.identity_index], right.rows[right.identity_index]
+    gens = [np.r_[g, e_right] for g in left.rows[list(left.generators)]]
+    gens += [np.r_[e_left, g] for g in right.rows[list(right.generators)]]
     spec = None
     if left.spec is not None and right.spec is not None:
         spec = ProductSpec(left.spec, right.spec)
-    return GroupTable(label, decode, mul, (e_left, e_right), gens, spec=spec, rows=rows)
+    return GroupTable(label, decode, mul, np.r_[e_left, e_right], gens, spec=spec, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -560,38 +553,12 @@ def conjugacy_classes(G: GroupTable) -> ClassSet:
     return ClassSet(tuple(classes), tuple(class_of), tuple(inverse_class))
 
 
-@dataclass(frozen=True, eq=False)
-class PowerChains:
-    """The class power map at every exponent.  Class j's chain lists the classes
-    of rep^0, ..., rep^(o-1), o = ``order[j]``, from ``flat[start[j]]`` on, the
-    chains back to back; since rep^a depends on a only mod o, they answer every
-    power-map query without multiplying again.
-    """
-
-    flat: np.ndarray
-    start: np.ndarray
-    order: np.ndarray
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        """Class j's whole chain."""
-        return self.flat[self.start[j] : self.start[j] + self.order[j]]
-
-    def at(self, a: int) -> np.ndarray:
-        """The classes of rep^a for every class, for any integer a."""
-        return self.flat[self.start + a % self.order]
-
-    def relabel(self, order: Sequence[int]) -> "PowerChains":
-        """The same map with the classes renumbered: class order[t] becomes t."""
-        order = np.array(order)
-        pos = np.empty_like(order)
-        pos[order] = np.arange(len(order))
-        return PowerChains(pos[self.flat], self.start[order], self.order[order])
-
-
-def class_power_chains(G: GroupTable, S: ClassSet) -> PowerChains:
-    """Every class's power chain, by doubling: once rep^0, ..., rep^k are
-    known, rep^(k + t) = rep^t rep^k for 0 < t <= k, one batched product per
-    step over the classes whose order exceeds k + 1."""
+def class_power_chains(G: GroupTable, S: ClassSet) -> np.ndarray:
+    """The class power map at every exponent as one (m, e) array: entry [j, a]
+    is the class of rep_j^a, so column -1 holds the inverse classes.  Row j is
+    filled up to o_j, the order of rep_j, by doubling (rep^(k + t) = rep^t rep^k
+    for 0 < t <= k, one batched product per step over the classes whose order
+    exceeds k + 1), then repeated with period o_j by one gather."""
     class_of = np.array(S.class_of)
     order = np.array([c.rep_order for c in S.classes])
     powers = np.empty((S.m, 2 * order.max()), dtype=np.intp)
@@ -602,8 +569,7 @@ def class_power_chains(G: GroupTable, S: ClassSet) -> PowerChains:
         live = (order > k + 1).nonzero()[0]
         powers[live, k + 1 : 2 * k + 1] = G.multiply_many(powers[live, 1 : k + 1], powers[live, k, None])
         k *= 2
-    start = np.cumsum(order) - order
-    return PowerChains(class_of[powers[np.arange(powers.shape[1]) < order[:, None]]], start, order)
+    return class_of[np.take_along_axis(powers, np.arange(G.exponent) % order[:, None], axis=1)]
 
 
 def class_power_map(G: GroupTable, S: ClassSet, a):

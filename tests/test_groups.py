@@ -379,32 +379,46 @@ def test_classes_ordered_canonically():
         assert S.classes[0].size == 1 and S.classes[0].rep_order == 1
 
 
-def test_class_power_chains():
+def test_class_power_chains(build, catalog):
+    # column a is the class power map at a, for 0 <= a < e: each row meets
+    # the identity class exactly at the multiples of its order, column -1 is
+    # the inverse-class map, and the unit columns are class_power_map's, from
+    # one ladder
     G = group("sym:4")
     S = conjugacy_classes(G)
     chains = class_power_chains(G, S)
     for j, c in enumerate(S.classes):
-        assert len(chains[j]) == c.rep_order
-        for t in range(c.rep_order):
-            assert chains[j][t] == S.class_of[G.power(c.rep, t)]
+        for t in range(G.exponent):
+            assert chains[j, t] == S.class_of[G.power(c.rep, t)]
+    for label in [*catalog, "cyclic:128", "cyclic:11*sym:3", "dihedral:12*sym:4"]:
+        b = build(label)
+        e = b.G.exponent
+        chains = class_power_chains(b.G, b.S)
+        assert chains.shape == (b.S.m, e), label
+        for j, c in enumerate(b.S.classes):
+            assert np.array_equal(np.flatnonzero(chains[j] == 0), np.arange(0, e, c.rep_order)), (label, j)
+        assert chains[:, -1].tolist() == list(b.S.inverse_class), label
+        units = [a for a in range(1, e + 1) if math.gcd(a, e) == 1]
+        maps = class_power_map(b.G, b.S, units)
+        assert chains[:, np.array(units) % e].T.tolist() == [list(pi) for pi in maps], label
 
 
 def power_chains_oracle(G, S):
     """class_power_chains as one step per power: step t stores the classes of
-    rep^t for each class whose order exceeds t."""
+    rep^t for each class whose order exceeds t.  Returns the chains, each
+    repeated with its period up to the exponent, and the orders."""
     class_of = np.array(S.class_of)
     reps = np.array([c.rep for c in S.classes])
     order = np.array([c.rep_order for c in S.classes])
-    start = np.cumsum(order) - order
-    flat = np.empty(order.sum(), dtype=np.intp)
+    chains = np.empty((S.m, order.max()), dtype=np.intp)
     live = np.arange(S.m)
     cur = np.full(S.m, G.identity_index)
     for t in range(order.max()):
-        flat[start[live] + t] = class_of[cur]
+        chains[live, t] = class_of[cur]
         keep = order[live] > t + 1
         live = live[keep]
         cur = G.multiply_many(cur[keep], reps[live])
-    return flat, start, order
+    return np.array([np.resize(chain[:o], G.exponent) for chain, o in zip(chains, order)]), order
 
 
 def test_class_power_chains_match_the_step_per_power_oracle(monkeypatch):
@@ -415,7 +429,7 @@ def test_class_power_chains_match_the_step_per_power_oracle(monkeypatch):
     for label in labels:
         G = group(label)
         S = conjugacy_classes(G)
-        want = power_chains_oracle(G, S)
+        want, order = power_chains_oracle(G, S)
         calls = 0
         multiply_many = G.multiply_many
 
@@ -426,8 +440,8 @@ def test_class_power_chains_match_the_step_per_power_oracle(monkeypatch):
 
         monkeypatch.setattr(G, "multiply_many", counting)
         chains = class_power_chains(G, S)
-        assert all(np.array_equal(x, y) for x, y in zip((chains.flat, chains.start, chains.order), want)), label
-        assert calls == max(int(want[2].max()) - 2, 0).bit_length(), (label, calls)
+        assert np.array_equal(chains, want), label
+        assert calls == max(int(order.max()) - 2, 0).bit_length(), (label, calls)
 
 
 def test_class_power_map_takes_several_exponents(monkeypatch):
@@ -504,7 +518,7 @@ def test_class_power_map_is_one_power_per_class(monkeypatch):
             if math.gcd(a, G.n) != 1:
                 continue
             calls = 0
-            want = tuple(chain[a % c.rep_order] for chain, c in zip(chains, S.classes))
+            want = tuple(chains[:, a % G.exponent].tolist())
             assert class_power_map(G, S, a) == want, (text, a)
             assert calls <= budget, (text, a, calls)
 

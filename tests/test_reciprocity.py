@@ -200,7 +200,7 @@ def symbol_by_chains(G, S):
     the power chains, and one parity, per unit a mod the exponent e."""
     chains = class_power_chains(G, S)
     e = G.exponent
-    by_residue = [permutation_parity(chains.at(a).tolist()) if math.gcd(a, e) == 1 else 0 for a in range(e)]
+    by_residue = [permutation_parity(chains[:, a].tolist()) if math.gcd(a, e) == 1 else 0 for a in range(e)]
     return tuple(by_residue) * (G.n // e)
 
 
