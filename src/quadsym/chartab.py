@@ -41,11 +41,12 @@ entries are decoded on first read, which only the checks' error texts do.
 Most embeddings are redundant (Isaacs, Character Theory of Finite Groups,
 1976): z -> z^a moves the image at u to the image at u * a, and it moves
 column j to column pi_a(j), pi_a the class power map, at every unit once it
-does at the generators of (Z/e)^x.  That is decided first and exactly; then
-each relation is decided at u = 1, and det is eliminated at u = 1 only, one
-matrix per prime, as det at u is sign(pi_u) det at 1.  If a check fails,
-all of them run again at every unit (_at_few_units).  Each public call
-decides anew, and the checks keep nothing on the table.
+does at the generators of (Z/e)^x.  That is decided first and exactly, once
+per public call (_decide_galois); then each relation is decided at u = 1,
+the conjugates read from the inverse-class column, and det is eliminated at
+u = 1 only, one matrix per prime, as det at u is sign(pi_u) det at 1.  Only
+a table whose columns fail to permute is checked at every unit.  The checks
+keep nothing on the table.
 """
 from __future__ import annotations
 
@@ -631,13 +632,12 @@ def _table_images(T: CharacterTable, primes: Sequence[int], units: np.ndarray) -
     return out
 
 
-def _column_witness(G: GroupTable, S: ClassSet, T: CharacterTable, tests: Sequence[int]):
+def _column_witness(T: CharacterTable, chains: np.ndarray, tests: Sequence[int]):
     """The first (a, i, j), a in ``tests``, where z -> z^a does not move
     chi_ij to column chains[j, a % e], or None.  Decided exactly on the images
     at every unit of the first primes, whose product exceeds twice (C_e + 1)
     max |chi|_1, a bound on sigma_a(chi_ij) - chi_ik."""
     e = T.conductor
-    chains = _chains(G, S, T.class_order, T.chains)
     primes = _primes(e, (_basis(e).root_norm + 1) * T.norms.max(), T.label)
     E = _table_images(T, primes, np.arange(_basis(e).phi))
     for a in tests:
@@ -646,19 +646,15 @@ def _column_witness(G: GroupTable, S: ClassSet, T: CharacterTable, tests: Sequen
             return (a, *moved[0].tolist())
 
 
-def _at_few_units(check, G: GroupTable, S: ClassSet, T: CharacterTable):
-    """check(every=False) if z -> z^g moves column j to column
-    chains[j, g % e] at each generator g of (Z/e)^x (_column_witness), and
-    that neither raises CharTableError nor reports a failure; else
-    check(every=True), which gives every report."""
+def _decide_galois(G: GroupTable, S: ClassSet, T: CharacterTable) -> tuple[np.ndarray, bool]:
+    """The power chains in column order, and whether the checks run at every
+    unit: they need not once z -> z^g moves column j to column chains[j, g % e]
+    at each generator g of (Z/e)^x, for then it does at every unit."""
+    chains = _chains(G, S, T.class_order, T.chains)
     try:
-        if _column_witness(G, S, T, unit_generators(T.conductor)) is None:
-            report = check(every=False)
-            if report is None or report.ok:
-                return report
+        return chains, _column_witness(T, chains, unit_generators(T.conductor)) is not None
     except CharTableError:
-        pass
-    return check(every=True)
+        return chains, True
 
 
 def verify_orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable) -> None:
@@ -666,20 +662,19 @@ def verify_orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable) -> None:
     B_orth; the rows imply the columns (X H X* = n I gives X* X = n H^-1).
 
     Once z -> z^a permutes the columns by pi_a, which keeps class sizes, the
-    row relations are rational, so they are decided at u = 1 with the
-    conjugates from u = -1 (_at_few_units)."""
-    _at_few_units(lambda every: _orthogonality(G, S, T, every), G, S, T)
+    row relations are rational, so they are decided at u = 1, the conjugates
+    read from the inverse-class column (_decide_galois)."""
+    _orthogonality(G, S, T, *_decide_galois(G, S, T))
 
 
-def _orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable, every: bool) -> None:
+def _orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable, chains: np.ndarray, every: bool) -> None:
     m, n, e = T.m, G.n, T.conductor
     sizes = np.array([S.classes[j].size for j in T.class_order])
     # by Cauchy-Schwarz, sum_j h_j |chi_aj|_1 |chi_bj|_1 is largest at some a = b
     sums = int(((T.norms * T.norms) @ sizes).max())
     primes = np.array(_primes(e, _basis(e).root_norm * sums + n, T.label))
-    units = np.arange(_basis(e).phi if every else 1)  # index 0 is u = 1
-    E = _table_images(T, primes, units)
-    conj = _table_images(T, primes, _unit_perm(e, -1)[units])
+    E = _table_images(T, primes, np.arange(_basis(e).phi if every else 1))  # index 0 is u = 1
+    conj = E[:, _unit_perm(e, -1)] if every else E.take(chains[:, -1], axis=-1)
     P = primes.reshape(-1, 1, 1, 1)
     got = np.matmul(E * sizes % P, conj.swapaxes(-1, -2)) % P
     bad = (got != n * np.eye(m, dtype=np.int64) % P).any(axis=1)  # per prime
@@ -724,17 +719,20 @@ def det_identities(
     decide that, so they are decided first, and a table whose rows fail
     raises CharTableError.
 
-    Both run under one Galois decision (_at_few_units): once the columns
+    Both run under one Galois decision (_decide_galois): once the columns
     permute, det is eliminated at u = 1 only, one matrix per prime (else at
     every unit, the rows too): det at any other u is sign(pi_u) * det at 1,
     pi_u a column of the power chains, and the Galois checks compare those
     signs with the symbol (u/G).
     """
-    check = lambda every: _orthogonality(G, S, T, every) or _det_identities(G, S, T, D, every)
-    return _at_few_units(check, G, S, T)
+    chains, every = _decide_galois(G, S, T)
+    _orthogonality(G, S, T, chains, every)
+    return _det_identities(G, S, T, D, chains, every)
 
 
-def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discriminant, every: bool) -> DetReport:
+def _det_identities(
+    G: GroupTable, S: ClassSet, T: CharacterTable, D: Discriminant, chains: np.ndarray, every: bool
+) -> DetReport:
     e, m = T.conductor, T.m
     units = np.arange(_basis(e).phi if every else 1)  # index 0 is u = 1
     centralizers = [G.n // S.classes[j].size for j in T.class_order]
@@ -746,7 +744,7 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
     dets = [_rref_stack(_table_images(T, c, units).reshape(-1, m, m), c.repeat(len(units)))[1] for c in chunks]
     dets = np.concatenate(dets).reshape(len(det_primes), len(units))
     if not every:  # z -> z^u permutes the columns by pi_u (_column_witness): det at u is sign(pi_u) det at 1
-        pis = map(tuple, _chains(G, S, T.class_order, T.chains)[:, _basis(e).units % e].T.tolist())
+        pis = map(tuple, chains[:, _basis(e).units % e].T.tolist())
         dets = np.array(list(map(lru_cache(None)(permutation_parity), pis))) * dets % det_primes[:, None]
     det = _lift(e, det_primes.tolist(), dets)
     checks = []
@@ -765,7 +763,7 @@ def _det_identities(G: GroupTable, S: ClassSet, T: CharacterTable, D: Discrimina
 
     checks.append(_check("conjugate_det", scales_det(-1), f"conj(det) != ({sym(-1)}) * det"))
 
-    moved = _column_witness(G, S, T, tests) if every else None  # else the columns permute
+    moved = _column_witness(T, chains, tests) if every else None  # else the columns permute
     galois_witness = column_witness = None
     for a in tests:
         if moved and moved[0] == a:

@@ -18,11 +18,14 @@ from quadsym.chartab import (
     _basis,
     _column_witness,
     _common_eigenvectors,
+    _decide_galois,
     _derivative_bound,
     _det_bound,
+    _det_identities,
     _embedding_maps,
     _embedding_prime,
     _lift,
+    _orthogonality,
     _power_table,
     _primes,
     _rref_stack,
@@ -843,6 +846,42 @@ def test_q8_and_dihedral4_share_a_table(build):
     assert as_ints(T1) == as_ints(T2)
 
 
+def test_q8_table_matches_the_closed_form(build):
+    # Q8, (a, b) standing for i^a j^b: the linear characters factor through
+    # Q8 / {+-1} = <i> x <j> mod squares, i^a j^b -> s^a t^b with s, t = +-1,
+    # each +1 on one of {+-i}, {+-j}, {+-k} and -1 on the others but for the
+    # trivial one; the character of degree 2 is 2 at 1, -2 at -1 and 0 off
+    # the centre.  Compared as CycInts, entry by entry, up to the order of
+    # the rows
+    b, T = table_for(build, "q8")
+    e = T.conductor
+    a, j = b.G.rows[[b.S.classes[c].rep for c in T.class_order]].T.tolist()
+    linear = [tuple(CycInt.integer(e, s**x * t**y) for x, y in zip(a, j)) for s in (1, -1) for t in (1, -1)]
+    planar = tuple(CycInt.integer(e, {0: 2, 2: -2}.get(x, 0) if y == 0 else 0) for x, y in zip(a, j))
+    assert collections.Counter(T.entries) == collections.Counter(linear + [planar])
+
+
+def test_frobenius_21_table_matches_the_closed_form(build):
+    # F21 = Z/7 x| Z/3 as the maps k -> 2^t k + c of Z/7 (James and Liebeck,
+    # Representations and Characters of Groups, the groups of order pq),
+    # each decoded from its images of 0 and 1.  With z a primitive 21st root
+    # of unity, omega = z^7 and zeta = z^3: the linear characters
+    # 2^t k + c -> omega^(st), s = 0, 1, 2, and the two of degree 3 induced
+    # from c -> zeta^(rc), r = 1 and the non-residue 3, which are
+    # sum_t zeta^(r 2^t c) on the translations (3 at 1) and 0 off them.
+    # Compared as CycInts, entry by entry, up to the order of the rows
+    b, T = table_for(build, "perm:[(1 2 3 4 5 6 7),(2 3 5)(4 7 6)]")
+    e = T.conductor
+    assert (b.G.n, e, T.degrees) == (21, 21, (1, 1, 1, 3, 3))
+    images = b.G.rows[[b.S.classes[c].rep for c in T.class_order]]
+    c, t = images[:, 0].tolist(), [[1, 2, 4].index(x) for x in (images[:, 1] - images[:, 0]) % 7]
+    zero = CycInt.integer(e, 0)
+    linear = [tuple(CycInt.root_power(e, 7 * s * x) for x in t) for s in range(3)]
+    orbit = lambda r, y: sum((CycInt.root_power(e, 3 * r * 2**k * y) for k in range(3)), zero)
+    induced = [tuple(orbit(r, y) if x == 0 else zero for x, y in zip(t, c)) for r in (1, 3)]
+    assert collections.Counter(T.entries) == collections.Counter(linear + induced)
+
+
 @pytest.mark.parametrize(
     "left, right",
     [
@@ -1207,17 +1246,25 @@ def test_checks_keep_no_state_on_the_table(build):
 
 def test_det_identities_decides_the_galois_action_once(build, monkeypatch):
     # one _column_witness at the generators of (Z/e)^x per call, and one more
-    # at every unit where the checks run again at every unit
+    # at every unit where the checks run at every unit; on a passing table
+    # the images are taken once by the decision, once by the rows and, in
+    # det_identities, once for det
     from quadsym import chartab
 
-    asked = []
-    original = chartab._column_witness
-    monkeypatch.setattr(chartab, "_column_witness", lambda G, S, T, tests: asked.append(list(tests)) or original(G, S, T, tests))
+    asked, imaged = [], []
+    witness, images = chartab._column_witness, chartab._table_images
+    monkeypatch.setattr(chartab, "_column_witness", lambda T, chains, tests: asked.append(list(tests)) or witness(T, chains, tests))
+    monkeypatch.setattr(chartab, "_table_images", lambda *args: imaged.append(args) or images(*args))
     for label in ["sym:7", "sl2:8", "cyclic:5", PSL27]:
         b, T = table_for(build, label)
+        imaged.clear()
+        verify_orthogonality(b.G, b.S, T)
+        assert len(imaged) == 2, (label, len(imaged))
         asked.clear()
+        imaged.clear()
         assert det_identities(b.G, b.S, b.split, T, b.D).ok, label
         assert asked == [list(chartab.unit_generators(T.conductor))], (label, asked)
+        assert len(imaged) == 3, (label, len(imaged))
     # cyclic:5 with its last row times z fails the decision and det
     b, T = table_for(build, "cyclic:5")
     z = CycInt.root_power(5, 1)
@@ -1248,7 +1295,7 @@ def test_det_is_eliminated_once_per_prime(build, monkeypatch):
     stacked.clear()
     assert not det_identities(b.G, b.S, b.split, bad, b.D).ok
     det_primes = _primes(5, _det_bound(5, [5] * 5), T.label)
-    assert _column_witness(b.G, b.S, bad, unit_generators(5)) is not None
+    assert _column_witness(bad, bad.chains, unit_generators(5)) is not None
     assert sum(stacked) == len(det_primes) * _basis(5).phi, stacked
 
 
@@ -1275,15 +1322,18 @@ def test_galois_checks_compare_the_table_with_the_symbol(build, monkeypatch):
 
         monkeypatch.setattr(reciprocity, "class_power_map", flip)
         assert reciprocity.quadratic_symbol(b.G, b.S, g) == symbol_character(b.G, b.S)(g) == -symbol, label
-        few = chartab._det_identities(b.G, b.S, T, b.D, every=False)
-        every = det_identities(b.G, b.S, b.split, T, b.D)
+        few = _det_identities(b.G, b.S, T, b.D, T.chains, every=False)
+        every = _det_identities(b.G, b.S, T, b.D, T.chains, every=True)
+        public = det_identities(b.G, b.S, b.split, T, b.D)
         monkeypatch.setattr(reciprocity, "class_power_map", original)
         for report in (every, few):
             checks = {c.name: c for c in report.checks}
             assert report.det == want.det and checks["galois_permutes_columns"].ok, label
             assert not checks["galois_scales_det_by_symbol"].ok, label
-        # the few-units path tests the generators, g first
+        # the few-units path tests the generators, g first, and it is the
+        # public call's path once the columns permute
         assert checks["galois_scales_det_by_symbol"].witness == f"a = {g}, symbol {-symbol}", label
+        assert public == few, label
 
 
 # Oracles: verify_orthogonality and det_identities as they were before the
@@ -1442,9 +1492,15 @@ def assert_checks_match_the_oracles(b, T):
     assert outcome(det_identities, b.G, b.S, b.split, shared, b.D) == want_det, T.label
     # the Galois action the checks decided at the generators, against every
     # unit in exact arithmetic, where that is quick
+    chains, every = _decide_galois(b.G, b.S, shared)
     if _basis(T.conductor).phi * T.m**2 <= 5000:
-        decided = _column_witness(b.G, b.S, shared, unit_generators(T.conductor)) is None
-        assert decided == galois_oracle(b, T), T.label
+        assert (not every) == galois_oracle(b, T), T.label
+    # once the columns permute at the generators, every unit gives what the
+    # few units give: the same error text, det, det^2, ell and witnesses
+    if not every:
+        for check, args in [(_orthogonality, ()), (_det_identities, (b.D,))]:
+            few, all_units = (outcome(check, b.G, b.S, shared, *args, chains, u) for u in (False, True))
+            assert few == all_units, (T.label, check.__name__)
     return want_orth, want_det
 
 
