@@ -35,8 +35,10 @@ embedding by (prod_j c_j)^(1/2), which the interpolation turns into B_det
 
 The table is one (m, m, phi) int64 array, CharacterTable.coeffs: a coefficient
 sums at most e multiplicities, each at most the degree, times coefficients of
-z^k of size at most C_e, which character_table asserts fits.  Its CycInt
-entries are decoded on first read, which only the checks' error texts do.
+z^k of size at most C_e, which character_table asserts fits.  det^2 and the
+text of a failing row relation are the only products in Z[z], each one
+polynomial product of coefficient arrays (_cyc_mul); a CycInt is the printed
+value of one element, det's or an entry's.
 
 Most embeddings are redundant (Isaacs, Character Theory of Finite Groups,
 1976): z -> z^a moves the image at u to the image at u * a, and it moves
@@ -133,28 +135,20 @@ def _basis(e: int) -> _CycBasis:
     return _CycBasis(e)
 
 
-def _reduce_product(prod: list[int], basis: _CycBasis) -> tuple[int, ...]:
-    out = list(prod[: basis.phi]) + [0] * (basis.phi - len(prod))
-    for k, row in enumerate(basis.rows[basis.phi : len(prod)].tolist(), basis.phi):
-        if prod[k]:
-            out = [x + prod[k] * r for x, r in zip(out, row)]
-    return tuple(out)
+def _cyc_mul(x: Sequence[int], y: Sequence[int], e: int) -> np.ndarray:
+    """The product in Z[z] of two coefficient arrays, as Python ints: z^k of
+    the polynomial product is row k of the basis (2 phi - 1 rows at least).
+    Trailing zeros are dropped first: a rational det costs one product."""
+    xy = np.convolve(*(np.asarray(v, dtype=object)[: np.flatnonzero(v).max(initial=0) + 1] for v in (x, y)))
+    return xy @ _basis(e).rows[: len(xy)]
 
 
-def _coeff_mul(a: Sequence[int], b: Sequence[int], basis: _CycBasis) -> tuple[int, ...]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    return _reduce_product(prod, basis)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CycInt:
     """An element of Z[z], z a primitive e-th root of unity, as phi(e)
-    integer coordinates over the power basis 1, z, ..., z^(phi-1).
+    integer coordinates over the power basis 1, z, ..., z^(phi-1): a printed
+    value.  Arithmetic in Z[z] is on coefficient arrays (_cyc_mul,
+    galois_apply).
 
     The representation is unique, so an element is a rational integer
     exactly when every coordinate past the constant one vanishes.
@@ -163,69 +157,8 @@ class CycInt:
     e: int
     coeffs: tuple[int, ...]
 
-    @staticmethod
-    def integer(e: int, v: int) -> "CycInt":
-        phi = _basis(e).phi
-        return CycInt(e, (v,) + (0,) * (phi - 1))
-
-    @staticmethod
-    def root_power(e: int, k: int) -> "CycInt":
-        return CycInt(e, tuple(_basis(e).rows[k % e].tolist()))
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def to_int(self) -> int:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not a rational integer")
-        return self.coeffs[0]
-
-    def _coerce(self, other) -> Optional["CycInt"]:
-        if isinstance(other, int):
-            return CycInt.integer(self.e, other)
-        if isinstance(other, CycInt):
-            if other.e != self.e:
-                raise ValueError(f"mixed conductors {self.e} and {other.e}")
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycInt(self.e, tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self + -o
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycInt(self.e, tuple(x * other for x in self.coeffs))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycInt(self.e, _coeff_mul(self.coeffs, o.coeffs, _basis(self.e)))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.is_rational() and self.coeffs[0] == other
-        if isinstance(other, CycInt):
-            return self.e == other.e and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.e, self.coeffs))
-
     def __str__(self):
-        if self.is_rational():
+        if not any(self.coeffs[1:]):
             return str(self.coeffs[0])
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -243,15 +176,12 @@ class CycInt:
 
 def galois_apply(z: CycInt, a: int) -> CycInt:
     """The automorphism z -> z^a of the e-th cyclotomic ring; a must be
-    coprime to e."""
+    coprime to e.  z^k goes to z^(k a), row k a mod e of the basis."""
     e = z.e
-    b = a % e
-    if gcd(b, e) != 1:
+    if gcd(a, e) != 1:
         raise ValueError(f"{a} is not coprime to the conductor {e}")
-    prod = [0] * e
-    for i, c in enumerate(z.coeffs):
-        prod[i * b % e] += c
-    return CycInt(e, _reduce_product(prod, _basis(e)))
+    rows = _basis(e).rows[np.arange(len(z.coeffs)) * (a % e) % e]
+    return CycInt(e, tuple((np.asarray(z.coeffs, dtype=object) @ rows).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +426,9 @@ class CharacterTable:
     the ClassSet indices: real classes first, then inverse pairs).  The table
     is ``coeffs``, each entry's coefficients over the power basis in one
     (m, m, phi) array, int64 from character_table (bounded as the module
-    docstring says); ``entries`` decodes it into CycInts on first read.  It
-    is a value: the checks read it and keep nothing on it."""
+    docstring says).  It is a value: the checks read it and keep nothing on
+    it.  ``entries``, the array as CycInts, is read by the benchmark's
+    worker alone."""
 
     label: str
     conductor: int
@@ -681,9 +612,10 @@ def _orthogonality(G: GroupTable, S: ClassSet, T: CharacterTable, chains: np.nda
     if bad.any():
         bad |= bad.swapaxes(-1, -2)
         a, b = (int(x) for x in np.argwhere(np.triu(bad.any(axis=0)))[0])
-        terms = (h * (x * galois_apply(y, -1)) for h, x, y in zip(sizes.tolist(), T.entries[a], T.entries[b]))
+        conj = (galois_apply(CycInt(e, tuple(y)), -1).coeffs for y in T.coeffs[b].tolist())
+        got = sum(h * _cyc_mul(x, y, e) for h, x, y in zip(sizes.tolist(), T.coeffs[a].tolist(), conj))
         raise CharTableError(
-            f"{T.label}: row orthogonality fails at rows {a}, {b}: got {sum(terms, CycInt.integer(e, 0))}, "
+            f"{T.label}: row orthogonality fails at rows {a}, {b}: got {CycInt(e, tuple(got.tolist()))}, "
             f"want {n * (a == b)} (P = {primes[bad[:, a, b].argmax()]})"
         )
 
@@ -749,14 +681,14 @@ def _det_identities(
     det = _lift(e, det_primes.tolist(), dets)
     checks = []
 
-    det2 = det * det
-    d2_ok = det2.is_rational()
-    det_squared = det2.to_int() if d2_ok else 0
+    det2 = _cyc_mul(det.coeffs, det.coeffs, e).tolist()
+    d2_ok = not any(det2[1:])
+    det_squared = det2[0] if d2_ok else 0
     dval = D.value.value()
     q = det_squared // dval if d2_ok and det_squared % dval == 0 else -1
     ell = isqrt(q) if q >= 0 else 0
     ratio_ok = d2_ok and ell >= 1 and ell * ell * dval == det_squared
-    checks.append(_check("det_squared_is_ell2_d", ratio_ok, f"det^2 = {det2}, d = {dval}"))
+    checks.append(_check("det_squared_is_ell2_d", ratio_ok, f"det^2 = {CycInt(e, tuple(det2))}, d = {dval}"))
 
     def scales_det(a: int) -> bool:
         return not ((dets[:, _unit_perm(e, a)] - sym(a) * dets) % det_primes[:, None]).any()

@@ -17,6 +17,7 @@ from quadsym.chartab import (
     DetReport,
     _basis,
     _column_witness,
+    _cyc_mul,
     _common_eigenvectors,
     _decide_galois,
     _derivative_bound,
@@ -44,6 +45,8 @@ from quadsym.groupspec import parse_group_spec
 from quadsym.ntheory import factorize, fundamental_discriminant, primitive_root, unit_generators
 from quadsym.reciprocity import CheckResult, _check, discriminant, real_complex_split, symbol_character
 
+from cyclotomic import Cyc, galois, rows_of
+
 
 def table_for(build, label, **kw):
     b = build(label)
@@ -52,13 +55,13 @@ def table_for(build, label, **kw):
 
 
 def coeffs_of(rows):
-    """The coefficient array of a table given as rows of CycInts: int64, or
-    Python ints (dtype object) once a coefficient does not fit."""
+    """The coefficient array of a table given as rows of Z[z] elements:
+    int64, or Python ints (dtype object) once a coefficient does not fit."""
     return np.array([[z.coeffs for z in row] for row in rows])
 
 
 def with_rows(T, rows):
-    """A copy of T whose table is ``rows``, rows of CycInts."""
+    """A copy of T whose table is ``rows``, rows of Z[z] elements."""
     return dataclasses.replace(T, coeffs=coeffs_of(rows))
 
 
@@ -562,7 +565,7 @@ def test_the_table_keeps_its_coefficient_array(build, capsys, monkeypatch):
         bumped = T.coeffs.copy()
         bumped[-1, 0, 0] += 1
         assert dataclasses.replace(T, coeffs=bumped) != T
-        assert dataclasses.replace(T, coeffs=bumped).entries[-1][0] == T.entries[-1][0] + 1
+        assert Cyc.of(dataclasses.replace(T, coeffs=bumped).entries[-1][0]) == Cyc.of(T.entries[-1][0]) + 1
     # chartab prints its text and JSON without decoding the entries
     decoded = []
     original = CharacterTable.__dict__["entries"].func
@@ -574,17 +577,17 @@ def test_the_table_keeps_its_coefficient_array(build, capsys, monkeypatch):
 
 
 def test_cycint_basics():
-    z = CycInt.root_power(12, 1)
-    assert (z * z * z) == CycInt.root_power(12, 3)
-    acc = CycInt.integer(12, 1)
+    z = Cyc.root_power(12, 1)
+    assert (z * z * z) == Cyc.root_power(12, 3)
+    acc = Cyc.integer(12, 1)
     for _ in range(12):
         acc = acc * z
     assert acc == 1
     # the minimal polynomial vanishes on the root
     for e in (3, 4, 5, 8, 12, 30):
-        z = CycInt.root_power(e, 1)
-        acc = CycInt.integer(e, 0)
-        power = CycInt.integer(e, 1)
+        z = Cyc.root_power(e, 1)
+        acc = Cyc.integer(e, 0)
+        power = Cyc.integer(e, 1)
         for c in cyclotomic_polynomial(e):
             acc = acc + c * power
             power = power * z
@@ -596,46 +599,56 @@ def test_cycint_ring_ops():
     for e in (5, 8, 12):
         phi = len(cyclotomic_polynomial(e)) - 1
         for _ in range(50):
-            a = CycInt(e, tuple(rng.randrange(-9, 10) for _ in range(phi)))
-            b = CycInt(e, tuple(rng.randrange(-9, 10) for _ in range(phi)))
-            c = CycInt(e, tuple(rng.randrange(-9, 10) for _ in range(phi)))
+            a = Cyc(e, tuple(rng.randrange(-9, 10) for _ in range(phi)))
+            b = Cyc(e, tuple(rng.randrange(-9, 10) for _ in range(phi)))
+            c = Cyc(e, tuple(rng.randrange(-9, 10) for _ in range(phi)))
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
             assert (a - b) + b == a
             assert a * 1 == a and a * 0 == 0
-    assert CycInt.integer(8, 5).is_rational()
-    assert CycInt.integer(8, 5).to_int() == 5
+    assert Cyc.integer(8, 5).is_rational()
+    assert Cyc.integer(8, 5).to_int() == 5
     with pytest.raises(ValueError):
-        CycInt.root_power(8, 1).to_int()
+        Cyc.root_power(8, 1).to_int()
     with pytest.raises(ValueError):
-        CycInt.integer(8, 1) + CycInt.integer(12, 1)
+        Cyc.integer(8, 1) + Cyc.integer(12, 1)
 
 
 def test_galois_is_a_ring_automorphism():
+    # the helper's z -> z^a is a ring automorphism, and quadsym's galois_apply,
+    # its product _cyc_mul and the text of a CycInt agree with the helper's
+    # arithmetic, on small coefficients and on coefficients past 2^63
     rng = random.Random(29)
     for e in (7, 12, 30):
         phi = len(cyclotomic_polynomial(e)) - 1
         units = [a for a in range(1, e) if math.gcd(a, e) == 1] or [1]
-        for _ in range(30):
-            z = CycInt(e, tuple(rng.randrange(-5, 6) for _ in range(phi)))
-            w = CycInt(e, tuple(rng.randrange(-5, 6) for _ in range(phi)))
-            a = rng.choice(units)
-            b = rng.choice(units)
-            assert galois_apply(z * w, a) == galois_apply(z, a) * galois_apply(w, a)
-            assert galois_apply(z + w, a) == galois_apply(z, a) + galois_apply(w, a)
-            assert galois_apply(galois_apply(z, a), b) == galois_apply(z, a * b)
-            assert galois_apply(z, 1) == z
-        assert galois_apply(CycInt.root_power(e, 1), e - 1) == CycInt.root_power(e, e - 1)
+        for top in (5, 2**70):
+            for _ in range(30):
+                z = Cyc(e, tuple(rng.randrange(-top, top + 1) for _ in range(phi)))
+                w = Cyc(e, tuple(rng.randrange(-top, top + 1) for _ in range(phi)))
+                a = rng.choice(units)
+                b = rng.choice(units)
+                assert galois(z * w, a) == galois(z, a) * galois(w, a)
+                assert galois(z + w, a) == galois(z, a) + galois(w, a)
+                assert galois(galois(z, a), b) == galois(z, a * b)
+                assert galois(z, 1) == z
+                for x, u in [(z, a), (w, -b), (z * w, a * b)]:
+                    assert galois_apply(CycInt(e, x.coeffs), u) == CycInt(e, galois(x, u).coeffs), (e, u)
+                assert _cyc_mul(z.coeffs, w.coeffs, e).tolist() == list((z * w).coeffs), e
+                assert str(CycInt(e, z.coeffs)) == str(z) and str(CycInt(e, (z * w).coeffs)) == str(z * w)
+        assert galois(Cyc.root_power(e, 1), e - 1) == Cyc.root_power(e, e - 1)
     with pytest.raises(ValueError):
-        galois_apply(CycInt.integer(12, 1), 4)
+        galois(Cyc.integer(12, 1), 4)
+    with pytest.raises(ValueError, match="^4 is not coprime to the conductor 12$"):
+        galois_apply(CycInt(12, Cyc.integer(12, 1).coeffs), 4)
 
 
 def leibniz_det(rows, e):
     m = len(rows)
-    total = CycInt.integer(e, 0)
+    total = Cyc.integer(e, 0)
     for perm in itertools.permutations(range(m)):
         inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
-        term = CycInt.integer(e, -1 if inversions % 2 else 1)
+        term = Cyc.integer(e, -1 if inversions % 2 else 1)
         for i, j in enumerate(perm):
             term = term * rows[i][j]
         total = total + term
@@ -646,7 +659,7 @@ def leibniz_bound(rows, e):
     # C_e * prod_i sum_j |M_ij|_1, with C_e the largest |z^k|_1 over k < e:
     # the Leibniz expansion, its exponents taken mod e and then reduced once
     l1 = lambda z: sum(map(abs, z.coeffs))
-    root_norm = max(l1(CycInt.root_power(e, k)) for k in range(e))
+    root_norm = max(l1(Cyc.root_power(e, k)) for k in range(e))
     return root_norm * math.prod(sum(map(l1, row)) for row in rows)
 
 
@@ -658,7 +671,7 @@ def modular_det(rows, e, bound, label):
     primes = _primes(e, bound, label)
     E = _table_images(T, primes, np.arange(_basis(e).phi))
     s = np.array([det_stack(images, P) for P, images in zip(primes, E)])
-    return _lift(e, primes, s), np.array(primes), s
+    return Cyc.of(_lift(e, primes, s)), np.array(primes), s
 
 
 def test_modular_det_matches_leibniz():
@@ -667,7 +680,7 @@ def test_modular_det_matches_leibniz():
     big = 10**6
     for e in (1, 2, 4, 5, 12, 105):
         phi = len(cyclotomic_polynomial(e)) - 1
-        rand = lambda: CycInt(e, tuple(rng.randrange(-big, big + 1) for _ in range(phi)))
+        rand = lambda: Cyc(e, tuple(rng.randrange(-big, big + 1) for _ in range(phi)))
         for m in range(1, 6):
             rows = [[rand() for _ in range(m)] for _ in range(m)]
             det, primes, _ = modular_det(rows, e, leibniz_bound(rows, e), "random")
@@ -676,7 +689,7 @@ def test_modular_det_matches_leibniz():
                 assert len(primes) >= 2, (e, m)
         # a zero (0, 0) entry forces a row swap in every image
         rows = [[rand() for _ in range(3)] for _ in range(3)]
-        rows[0][0] = CycInt.integer(e, 0)
+        rows[0][0] = Cyc.integer(e, 0)
         assert modular_det(rows, e, leibniz_bound(rows, e), "swap")[0] == leibniz_det(rows, e), e
         # the third row is a Z[z]-combination of the first two
         u, v = rand(), rand()
@@ -711,13 +724,14 @@ def test_det_bound_is_sound_and_sets_the_prime_count(build, catalog):
         T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
         e = T.conductor
         bound = _det_bound(e, [b.G.n // b.S.classes[j].size for j in T.class_order])
-        det, primes, _ = modular_det(T.entries, e, bound, label)
-        assert det == modular_det(T.entries, e, leibniz_bound(T.entries, e), label)[0], label
+        X = rows_of(T)
+        det, primes, _ = modular_det(X, e, bound, label)
+        assert det == modular_det(X, e, leibniz_bound(X, e), label)[0], label
         assert max(map(abs, det.coeffs)) <= bound, label
         # the least number of primes, taken largest first, with Q > 2B
         assert primes.tolist() == [_embedding_prime(e, k) for k in range(len(primes))], label
         assert math.prod(primes[:-1].tolist()) <= 2 * bound < math.prod(primes.tolist()), label
-        assert det_identities(b.G, b.S, b.split, T, b.D).det == det, label
+        assert Cyc.of(det_identities(b.G, b.S, b.split, T, b.D).det) == det, label
         counts[label] = len(primes)
     assert (counts["cyclic:11*sym:3"], counts["dihedral:12*sym:4"]) == (5, 6)
 
@@ -726,7 +740,7 @@ def test_cyclic_tables_match_roots_of_unity(build, catalog):
     # independent construction, the dual group (Serre, Linear Representations
     # of Finite Groups, 1977): with cyclic factors of orders d_i and zeta a
     # primitive e-th root of unity, e = lcm d_i, row t is g -> zeta^<t, g>,
-    # <t, g> = sum_i t_i g_i e / d_i; compared as CycInts, entry by entry, up
+    # <t, g> = sum_i t_i g_i e / d_i; compared in Z[z], entry by entry, up
     # to the order of the rows.  Every abelian catalog group, and two past the
     # class cap
     labels = [label for label in catalog if label.startswith(("cyclic:", "abelian:")) and "*" not in label]
@@ -739,9 +753,9 @@ def test_cyclic_tables_match_roots_of_unity(build, catalog):
         assert T.conductor == e and set(T.degrees) == {1}, label
         reps = b.G.rows[[b.S.classes[j].rep for j in T.class_order]] * (e // np.array(dims))
         expected = {
-            tuple(CycInt.root_power(e, k) for k in (reps @ t).tolist()) for t in itertools.product(*map(range, dims))
+            tuple(Cyc.root_power(e, k) for k in (reps @ t).tolist()) for t in itertools.product(*map(range, dims))
         }
-        assert len(expected) == T.m and set(T.entries) == expected, label
+        assert len(expected) == T.m and set(rows_of(T)) == expected, label
 
 
 def partitions(k, most=None):
@@ -784,7 +798,7 @@ def cycle_type(perm):
 
 def test_symmetric_tables_match_murnaghan_nakayama(build):
     # row lambda at the column of a class whose representative has cycle type
-    # mu is chi^lambda(mu), an integer; compared as CycInts, entry by entry,
+    # mu is chi^lambda(mu), an integer; compared in Z[z], entry by entry,
     # up to the order of the rows.  sym:3 to sym:7, and S_8 from two
     # generators past the order and class caps
     s8 = make_group(parse_group_spec("perm:[(1 2 3 4 5 6 7 8),(1 2)]"), max_order=40320)
@@ -796,8 +810,8 @@ def test_symmetric_tables_match_murnaghan_nakayama(build):
         types = [cycle_type(G.rows[S.classes[j].rep].tolist()) for j in T.class_order]
         assert sorted(types) == sorted(partitions(k)), G.label
         betas = [tuple(p + len(lam) - i for i, p in enumerate(lam, 1)) for lam in partitions(k)]
-        expected = [tuple(CycInt.integer(T.conductor, murnaghan_nakayama(beta, mu)) for mu in types) for beta in betas]
-        assert collections.Counter(T.entries) == collections.Counter(expected), G.label
+        expected = [tuple(Cyc.integer(T.conductor, murnaghan_nakayama(beta, mu)) for mu in types) for beta in betas]
+        assert collections.Counter(rows_of(T)) == collections.Counter(expected), G.label
 
 
 def test_dihedral_tables_match_the_closed_form(build, catalog):
@@ -805,7 +819,7 @@ def test_dihedral_tables_match_the_closed_form(build, catalog):
     # of Finite Groups, 1977, 5.3): the linear characters a^x c^y, a = 1 or,
     # for even k, -1, and c = +-1; and for 0 < h < k / 2, chi_h(r^x) =
     # zeta^hx + zeta^-hx, zeta a primitive k-th root of unity, and
-    # chi_h(r^x s) = 0.  Compared as CycInts, entry by entry, up to the order
+    # chi_h(r^x s) = 0.  Compared in Z[z], entry by entry, up to the order
     # of the rows.  Every dihedral catalog group, and one past the class cap
     labels = [label for label in catalog if label.startswith("dihedral:") and "*" not in label]
     assert len(labels) == 10
@@ -814,15 +828,15 @@ def test_dihedral_tables_match_the_closed_form(build, catalog):
         T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
         k, e = b.G.spec.args[0], T.conductor
         x, y = b.G.rows[[b.S.classes[j].rep for j in T.class_order]].T.tolist()
-        zeta = lambda t: CycInt.root_power(e, t * (e // k))
+        zeta = lambda t: Cyc.root_power(e, t * (e // k))
         linear = [
-            tuple(CycInt.integer(e, a**i * c**j) for i, j in zip(x, y)) for a in (1, -1)[: 2 - k % 2] for c in (1, -1)
+            tuple(Cyc.integer(e, a**i * c**j) for i, j in zip(x, y)) for a in (1, -1)[: 2 - k % 2] for c in (1, -1)
         ]
         planar = [
-            tuple(zeta(h * i) + zeta(-h * i) if j == 0 else CycInt.integer(e, 0) for i, j in zip(x, y))
+            tuple(zeta(h * i) + zeta(-h * i) if j == 0 else Cyc.integer(e, 0) for i, j in zip(x, y))
             for h in range(1, (k + 1) // 2)
         ]
-        assert collections.Counter(T.entries) == collections.Counter(linear + planar), label
+        assert collections.Counter(rows_of(T)) == collections.Counter(linear + planar), label
 
 
 def test_sym3_table(build):
@@ -834,7 +848,7 @@ def test_sym3_table(build):
         [1, -1, 1],
         [2, 0, -1],
     ]
-    for row, wrow in zip(T.entries, want):
+    for row, wrow in zip(rows_of(T), want):
         assert [z.to_int() for z in row] == wrow
 
 
@@ -842,7 +856,7 @@ def test_q8_and_dihedral4_share_a_table(build):
     _, T1 = table_for(build, "q8")
     _, T2 = table_for(build, "dihedral:4")
     assert T1.degrees == T2.degrees == (1, 1, 1, 1, 2)
-    as_ints = lambda T: [[z.to_int() for z in row] for row in T.entries]
+    as_ints = lambda T: [[z.to_int() for z in row] for row in rows_of(T)]
     assert as_ints(T1) == as_ints(T2)
 
 
@@ -851,14 +865,14 @@ def test_q8_table_matches_the_closed_form(build):
     # Q8 / {+-1} = <i> x <j> mod squares, i^a j^b -> s^a t^b with s, t = +-1,
     # each +1 on one of {+-i}, {+-j}, {+-k} and -1 on the others but for the
     # trivial one; the character of degree 2 is 2 at 1, -2 at -1 and 0 off
-    # the centre.  Compared as CycInts, entry by entry, up to the order of
+    # the centre.  Compared in Z[z], entry by entry, up to the order of
     # the rows
     b, T = table_for(build, "q8")
     e = T.conductor
     a, j = b.G.rows[[b.S.classes[c].rep for c in T.class_order]].T.tolist()
-    linear = [tuple(CycInt.integer(e, s**x * t**y) for x, y in zip(a, j)) for s in (1, -1) for t in (1, -1)]
-    planar = tuple(CycInt.integer(e, {0: 2, 2: -2}.get(x, 0) if y == 0 else 0) for x, y in zip(a, j))
-    assert collections.Counter(T.entries) == collections.Counter(linear + [planar])
+    linear = [tuple(Cyc.integer(e, s**x * t**y) for x, y in zip(a, j)) for s in (1, -1) for t in (1, -1)]
+    planar = tuple(Cyc.integer(e, {0: 2, 2: -2}.get(x, 0) if y == 0 else 0) for x, y in zip(a, j))
+    assert collections.Counter(rows_of(T)) == collections.Counter(linear + [planar])
 
 
 def test_frobenius_21_table_matches_the_closed_form(build):
@@ -869,17 +883,17 @@ def test_frobenius_21_table_matches_the_closed_form(build):
     # 2^t k + c -> omega^(st), s = 0, 1, 2, and the two of degree 3 induced
     # from c -> zeta^(rc), r = 1 and the non-residue 3, which are
     # sum_t zeta^(r 2^t c) on the translations (3 at 1) and 0 off them.
-    # Compared as CycInts, entry by entry, up to the order of the rows
+    # Compared in Z[z], entry by entry, up to the order of the rows
     b, T = table_for(build, "perm:[(1 2 3 4 5 6 7),(2 3 5)(4 7 6)]")
     e = T.conductor
     assert (b.G.n, e, T.degrees) == (21, 21, (1, 1, 1, 3, 3))
     images = b.G.rows[[b.S.classes[c].rep for c in T.class_order]]
     c, t = images[:, 0].tolist(), [[1, 2, 4].index(x) for x in (images[:, 1] - images[:, 0]) % 7]
-    zero = CycInt.integer(e, 0)
-    linear = [tuple(CycInt.root_power(e, 7 * s * x) for x in t) for s in range(3)]
-    orbit = lambda r, y: sum((CycInt.root_power(e, 3 * r * 2**k * y) for k in range(3)), zero)
+    zero = Cyc.integer(e, 0)
+    linear = [tuple(Cyc.root_power(e, 7 * s * x) for x in t) for s in range(3)]
+    orbit = lambda r, y: sum((Cyc.root_power(e, 3 * r * 2**k * y) for k in range(3)), zero)
     induced = [tuple(orbit(r, y) if x == 0 else zero for x, y in zip(t, c)) for r in (1, 3)]
-    assert collections.Counter(T.entries) == collections.Counter(linear + induced)
+    assert collections.Counter(rows_of(T)) == collections.Counter(linear + induced)
 
 
 @pytest.mark.parametrize(
@@ -923,7 +937,7 @@ def test_known_degree_multisets(build):
 def test_first_row_is_trivial_character(build):
     for label in ["cyclic:6", "sym:4", "alt:5", "q8", "sl2:4"]:
         _, T = table_for(build, label)
-        assert all(z == 1 for z in T.entries[0])
+        assert all(z == 1 for z in rows_of(T)[0])
         assert T.degrees[0] == 1
 
 
@@ -944,8 +958,8 @@ def test_orthogonality_everywhere(build):
 
 def test_orthogonality_detects_corruption(build):
     b, T = table_for(build, "sym:3")
-    bad_rows = list(list(r) for r in T.entries)
-    bad_rows[2][1] = CycInt.integer(T.conductor, 1)
+    bad_rows = list(list(r) for r in rows_of(T))
+    bad_rows[2][1] = Cyc.integer(T.conductor, 1)
     bad = CharacterTable(
         label=T.label,
         conductor=T.conductor,
@@ -960,29 +974,47 @@ def test_orthogonality_detects_corruption(build):
     assert message.startswith("sym:3: row orthogonality fails at rows 0, 2: got 3, want 0")
     assert "P = " in message
     # a coefficient past int64 is reduced mod each prime as a Python int
-    bad_rows = [list(r) for r in T.entries]
+    bad_rows = [list(r) for r in rows_of(T)]
     bad_rows[1][0] = bad_rows[1][0] + 10**40
     with pytest.raises(CharTableError, match=f"rows 0, 1: got {10**40}, want 0"):
         verify_orthogonality(b.G, b.S, with_rows(T, bad_rows))
 
 
 def test_det_identities_detect_corruption(build):
-    # the last row of cyclic:5 times z: det picks up a factor z, so det^2 is
-    # irrational and z -> z^a no longer permutes the columns
+    # the last row of cyclic:5 or cyclic:12 times z: det picks up a factor z,
+    # so det^2 is irrational and z -> z^a no longer permutes the columns
+    for label, want in [
+        (
+            "cyclic:5",
+            [
+                ("det_squared_is_ell2_d", False, "det^2 = 3125*z^2, d = 5"),
+                ("conjugate_det", False, "conj(det) != (1) * det"),
+                ("galois_scales_det_by_symbol", False, "a = 2, symbol -1"),
+                ("galois_permutes_columns", False, "a = 2, row 4, column 0"),
+                ("det_squared_mod_4", False, "det^2 = 0 = 0 mod 4"),
+            ],
+        ),
+        (
+            "cyclic:12",
+            [
+                ("det_squared_is_ell2_d", False, "det^2 = -8916100448256*z^2, d = -144"),
+                ("conjugate_det", False, "conj(det) != (-1) * det"),
+                ("galois_scales_det_by_symbol", False, "a = 5, symbol 1"),
+                ("galois_permutes_columns", False, "a = 5, row 11, column 0"),
+                ("det_squared_mod_4", False, "det^2 = 0 = 0 mod 4"),
+            ],
+        ),
+    ]:
+        b, T = table_for(build, label)
+        z = Cyc.root_power(T.conductor, 1)
+        X = rows_of(T)
+        rows = X[:-1] + (tuple(x * z for x in X[-1]),)
+        report = det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
+        assert [(c.name, c.ok, c.witness) for c in report.checks] == want, label
     b, T = table_for(build, "cyclic:5")
-    z = CycInt.root_power(5, 1)
-    rows = T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),)
-    report = det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
-    assert [(c.name, c.ok, c.witness) for c in report.checks] == [
-        ("det_squared_is_ell2_d", False, "det^2 = 3125*z^2, d = 5"),
-        ("conjugate_det", False, "conj(det) != (1) * det"),
-        ("galois_scales_det_by_symbol", False, "a = 2, symbol -1"),
-        ("galois_permutes_columns", False, "a = 2, row 4, column 0"),
-        ("det_squared_mod_4", False, "det^2 = 0 = 0 mod 4"),
-    ]
     # a zero row takes 1 from every column norm, which the bound on det
     # needs; the rows decide the column norms, and row 4 has norm 0
-    rows = T.entries[:-1] + ((CycInt.integer(5, 0),) * 5,)
+    rows = rows_of(T)[:-1] + ((Cyc.integer(5, 0),) * 5,)
     want = r"^cyclic:5: row orthogonality fails at rows 4, 4: got 0, want 5 \(P = \d+\)$"
     with pytest.raises(CharTableError, match=want):
         det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
@@ -993,31 +1025,54 @@ def test_det_identities_decide_the_rows_first(build):
     for label in ["cyclic:5", "sym:4", "perm:[(1 2 3 4 5 6 7),(1 2)(3 6)]"]:
         b, T = table_for(build, label)
         for j in range(T.m):
-            rows = tuple(row[:j] + (2 * row[j],) + row[j + 1 :] for row in T.entries)
+            rows = tuple(row[:j] + (2 * row[j],) + row[j + 1 :] for row in rows_of(T))
             h = b.S.classes[T.class_order[j]].size
             want = rf"^{re.escape(label)}: row orthogonality fails at rows 0, 0: got {b.G.n + 3 * h}, want {b.G.n} "
             with pytest.raises(CharTableError, match=want):
                 det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
+    # an entry changed, chi_21 := 3 - 2z + z^2 on dihedral:5: the rows fail
+    # with an irrational inner product
+    b, T = table_for(build, "dihedral:5")
+    rows = [list(row) for row in rows_of(T)]
+    rows[2][1] = Cyc(T.conductor, (3, -2, 1, 0))
+    want = "dihedral:5: row orthogonality fails at rows 0, 2: got 5 + 10*z - 10*z^2 + 5*z^3, want 0 (P = 16777141)"
+    with pytest.raises(CharTableError) as exc:
+        det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
+    assert str(exc.value) == want
 
 
 def test_det_identities_refuse_a_table_with_the_column_norms_but_not_the_rows(build):
     # two entries of one column swapped keep every column norm, which is all
     # the bound on det reads, but break the rows, so no det is reported
+    wants = {
+        ("sym:4", 0): "rows 0, 0: got 27, want 24 (P = 16777213)",
+        ("sym:4", 1): "rows 0, 0: got 33, want 24 (P = 16777213)",
+        ("sym:4", 2): "rows 0, 3: got 12, want 0 (P = 16777213)",
+        ("sym:4", 3): "rows 0, 1: got -16, want 0 (P = 16777213)",
+        ("sym:4", 4): "rows 0, 3: got -12, want 0 (P = 16777213)",
+        ("cyclic:5", 1): "rows 0, 1: got -1 - 2*z - z^2 - z^3, want 0 (P = 16777141)",
+        ("cyclic:5", 2): "rows 0, 1: got 1 + 2*z + z^2 + z^3, want 0 (P = 16777141)",
+        ("cyclic:5", 3): "rows 0, 1: got -z^2 + z^3, want 0 (P = 16777141)",
+        ("cyclic:5", 4): "rows 0, 1: got z^2 - z^3, want 0 (P = 16777141)",
+    }
+    swapped = []
     for label in ["sym:4", "cyclic:5"]:
         b, T = table_for(build, label)
-        e = T.conductor
-        norms = lambda rows: [sum((x * galois_apply(x, -1) for x in col), CycInt.integer(e, 0)) for col in zip(*rows)]
+        e, table = T.conductor, rows_of(T)
+        norms = lambda rows: [sum((x * galois(x, -1) for x in col), Cyc.integer(e, 0)) for col in zip(*rows)]
         for j in range(T.m):
-            column = [row[j] for row in T.entries]
+            column = [row[j] for row in table]
             i = next((i for i, x in enumerate(column) if x != column[0]), None)
             if i is None:
                 continue
-            rows = [list(row) for row in T.entries]
+            rows = [list(row) for row in table]
             rows[0][j], rows[i][j] = rows[i][j], rows[0][j]
-            assert norms(rows) == norms(T.entries), (label, j)
-            want = rf"^{re.escape(label)}: row orthogonality fails at rows \d+, \d+: got .*, want \d+ \(P = \d+\)$"
-            with pytest.raises(CharTableError, match=want):
+            assert norms(rows) == norms(table), (label, j)
+            with pytest.raises(CharTableError) as exc:
                 det_identities(b.G, b.S, b.split, with_rows(T, rows), b.D)
+            assert str(exc.value) == f"{label}: row orthogonality fails at {wants[label, j]}", (label, j)
+            swapped.append((label, j))
+    assert swapped == list(wants)
 
 
 def test_det_squared_matches_vandermonde_formula(build):
@@ -1224,13 +1279,14 @@ def test_chartab_builds_the_embedding_maps_once_per_prime(monkeypatch, capsys):
 
 
 def test_checks_keep_no_state_on_the_table(build):
-    # a table is a value: the checks add nothing to it but the two cached
-    # properties their error texts and bounds read, on the few-units path and
-    # on the every-unit one (sl2:8, and cyclic:5 with its last row times z)
+    # a table is a value: the checks add nothing to it but the cached norms
+    # their bounds read, and decode no entries for their error texts, on the
+    # few-units path and on the every-unit one (sl2:8, and cyclic:5 with its
+    # last row times z)
     b, T = table_for(build, "sl2:8")
     c, C = table_for(build, "cyclic:5")
-    z = CycInt.root_power(5, 1)
-    bad = with_rows(C, C.entries[:-1] + (tuple(x * z for x in C.entries[-1]),))
+    z = Cyc.root_power(5, 1)
+    bad = with_rows(C, rows_of(C)[:-1] + (tuple(x * z for x in rows_of(C)[-1]),))
     for b, T, ok in [(b, T, True), (c, bad, False)]:
         before = dict(vars(T))
         reports = []
@@ -1238,7 +1294,7 @@ def test_checks_keep_no_state_on_the_table(build):
             verify_orthogonality(b.G, b.S, T)
             reports.append(det_identities(b.G, b.S, b.split, T, b.D))
         assert reports[0] == reports[1] and reports[0].ok == ok, T.label
-        assert set(vars(T)) - set(before) <= {"norms", "entries"}, sorted(vars(T))
+        assert set(vars(T)) - set(before) <= {"norms"}, sorted(vars(T))
         assert all(vars(T)[k] is v for k, v in before.items()), T.label
         # a copy made by replace gives the same report
         assert det_identities(b.G, b.S, b.split, dataclasses.replace(T), b.D) == reports[0], T.label
@@ -1267,8 +1323,8 @@ def test_det_identities_decides_the_galois_action_once(build, monkeypatch):
         assert len(imaged) == 3, (label, len(imaged))
     # cyclic:5 with its last row times z fails the decision and det
     b, T = table_for(build, "cyclic:5")
-    z = CycInt.root_power(5, 1)
-    bad = with_rows(T, T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),))
+    z = Cyc.root_power(5, 1)
+    bad = with_rows(T, rows_of(T)[:-1] + (tuple(x * z for x in rows_of(T)[-1]),))
     asked.clear()
     assert not det_identities(b.G, b.S, b.split, bad, b.D).ok
     assert asked == [list(chartab.unit_generators(5)), _basis(5).units.tolist()], asked
@@ -1290,8 +1346,8 @@ def test_det_is_eliminated_once_per_prime(build, monkeypatch):
         assert sum(stacked) == want, (label, stacked)
     # cyclic:5 with its last row times z, as in test_det_identities_detect_corruption
     b, T = table_for(build, "cyclic:5")
-    z = CycInt.root_power(5, 1)
-    bad = with_rows(T, T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),))
+    z = Cyc.root_power(5, 1)
+    bad = with_rows(T, rows_of(T)[:-1] + (tuple(x * z for x in rows_of(T)[-1]),))
     stacked.clear()
     assert not det_identities(b.G, b.S, b.split, bad, b.D).ok
     det_primes = _primes(5, _det_bound(5, [5] * 5), T.label)
@@ -1363,12 +1419,12 @@ def l1(z):
 
 
 def orthogonality_oracle(G, S, T):
-    m, n, e = T.m, G.n, T.conductor
+    m, n, e, rows = T.m, G.n, T.conductor, rows_of(T)
     sizes = np.array([S.classes[j].size for j in T.class_order])
-    norms = np.array([[l1(z) for z in row] for row in T.entries], dtype=object)
+    norms = np.array([[l1(z) for z in row] for row in rows], dtype=object)
     sums = max(((norms * sizes) @ norms.T).max(), (norms.T @ norms).max())
     wants = {"row": n * np.eye(m, dtype=np.int64), "column": np.diag(n // sizes)}
-    found = images_oracle(T.entries, e, _basis(e).root_norm * sums + n, T.label)
+    found = images_oracle(rows, e, _basis(e).root_norm * sums + n, T.label)
     primes = np.array([P for P, _, _ in found])
     E = np.stack([E for _, _, E in found])
     P = primes.reshape(-1, 1, 1, 1)
@@ -1387,10 +1443,10 @@ def orthogonality_oracle(G, S, T):
             continue
         a, b = (int(x) for x in np.argwhere(first)[0])
         if kind == "row":
-            terms = [(int(sizes[j]), T.entries[a][j], T.entries[b][j]) for j in range(m)]
+            terms = [(int(sizes[j]), rows[a][j], rows[b][j]) for j in range(m)]
         else:
-            terms = [(1, T.entries[i][a], T.entries[i][b]) for i in range(m)]
-        total = sum((h * (x * galois_apply(y, -1)) for h, x, y in terms), CycInt.integer(e, 0))
+            terms = [(1, rows[i][a], rows[i][b]) for i in range(m)]
+        total = sum((h * (x * galois(y, -1)) for h, x, y in terms), Cyc.integer(e, 0))
         raise CharTableError(
             f"{T.label}: {kind} orthogonality fails at {kind}s {a}, {b}: "
             f"got {total}, want {int(want[a, b])} (P = {primes[bad[:, a, b].argmax()]})"
@@ -1400,22 +1456,22 @@ def orthogonality_oracle(G, S, T):
 def det_identities_oracle(G, S, split, T, D):
     # the column norms that _det_bound needs, decided with the rows
     orthogonality_oracle(G, S, T)
-    e = T.conductor
+    e, rows = T.conductor, rows_of(T)
     centralizers = np.array([G.n // S.classes[j].size for j in T.class_order])
-    norms = np.array([[l1(z) for z in row] for row in T.entries], dtype=object)
+    norms = np.array([[l1(z) for z in row] for row in rows], dtype=object)
     # sigma_a(chi_ij) - chi_ik has coefficients below (C_e + 1) max |chi|_1
-    found = images_oracle(T.entries, e, (_basis(e).root_norm + 1) * norms.max(), T.label)
+    found = images_oracle(rows, e, (_basis(e).root_norm + 1) * norms.max(), T.label)
     E = np.stack([E for _, _, E in found])
 
     coeffs, Q, primes, s = [0] * _basis(e).phi, 1, [], []
-    for P, interp, images in images_oracle(T.entries, e, _det_bound(e, centralizers.tolist()), T.label):
+    for P, interp, images in images_oracle(rows, e, _det_bound(e, centralizers.tolist()), T.label):
         s.append(det_stack(images, P))
         residues = (interp @ s[-1] % P).tolist()
         t = pow(Q, -1, P)
         coeffs = [x + Q * ((r - x) * t % P) for x, r in zip(coeffs, residues)]
         Q *= P
         primes.append(P)
-    det = CycInt(e, tuple(x - Q if 2 * x > Q else x for x in coeffs))
+    det = Cyc(e, tuple(x - Q if 2 * x > Q else x for x in coeffs))
     primes, s = np.array(primes), np.array(s)
     checks = []
 
@@ -1454,7 +1510,7 @@ def det_identities_oracle(G, S, split, T, D):
 
     mod4_ok = d2_ok and det_squared % 4 in (0, 1)
     checks.append(_check("det_squared_mod_4", mod4_ok, f"det^2 = {det_squared} = {det_squared % 4} mod 4"))
-    return DetReport(det=det, det_squared=det_squared, ell=ell, checks=tuple(checks))
+    return DetReport(det=CycInt(e, det.coeffs), det_squared=det_squared, ell=ell, checks=tuple(checks))
 
 
 def outcome(check, *args):
@@ -1475,8 +1531,8 @@ def galois_oracle(b, T):
     """Whether z -> z^a moves column j to column chains[j, a % e] at every
     unit a, in exact arithmetic."""
     chains = chains_in_column_order(b.G, b.S, T.class_order)
-    units, e = _basis(T.conductor).units, T.conductor
-    moved = (galois_apply(row[j], a) == row[chains[j, a % e]] for a in units for row in T.entries for j in range(T.m))
+    units, e, rows = _basis(T.conductor).units, T.conductor, rows_of(T)
+    moved = (galois(row[j], a) == row[chains[j, a % e]] for a in units for row in rows for j in range(T.m))
     return all(moved)
 
 
@@ -1523,9 +1579,9 @@ def test_rows_imply_the_columns(build, catalog):
     for label in labels:
         b = build(label)
         T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
-        z = CycInt.root_power(T.conductor, 1)
-        times_z = T.entries[:-1] + (tuple(x * z for x in T.entries[-1]),)
-        for rows in (T.entries, times_z, T.entries[:1] + T.entries[:0:-1]):
+        X, z = rows_of(T), Cyc.root_power(T.conductor, 1)
+        times_z = X[:-1] + (tuple(x * z for x in X[-1]),)
+        for rows in (X, times_z, X[:1] + X[:0:-1]):
             table = with_rows(T, rows)
             verify_orthogonality(b.G, b.S, table)
             assert orthogonality_oracle(b.G, b.S, table) is None, label
@@ -1536,22 +1592,28 @@ def test_existing_corruptions_match_the_oracles(build):
     # test_det_identities_detect_corruption and
     # test_det_identities_decide_the_rows_first
     b, T = table_for(build, "sym:3")
-    rows = [list(r) for r in T.entries]
-    rows[2][1] = CycInt.integer(T.conductor, 1)
+    rows = [list(r) for r in rows_of(T)]
+    rows[2][1] = Cyc.integer(T.conductor, 1)
     # built without the power chains, which the checks then compute
     bare = CharacterTable(T.label, T.conductor, T.prime, T.class_order, T.degrees, coeffs_of(rows))
     assert_checks_match_the_oracles(b, bare)
-    rows = [list(r) for r in T.entries]
+    rows = [list(r) for r in rows_of(T)]
     rows[1][0] = rows[1][0] + 10**40
     assert_checks_match_the_oracles(b, with_rows(T, rows))
-    b, T = table_for(build, "cyclic:5")
-    z = CycInt.root_power(5, 1)
-    for last in (tuple(x * z for x in T.entries[-1]), (CycInt.integer(5, 0),) * 5):
-        assert_checks_match_the_oracles(b, with_rows(T, T.entries[:-1] + (last,)))
+    for label in ["cyclic:5", "cyclic:12"]:
+        b, T = table_for(build, label)
+        X, z = rows_of(T), Cyc.root_power(T.conductor, 1)
+        for last in (tuple(x * z for x in X[-1]), (Cyc.integer(T.conductor, 0),) * T.m):
+            assert_checks_match_the_oracles(b, with_rows(T, X[:-1] + (last,)))
+    b, T = table_for(build, "dihedral:5")
+    rows = [list(r) for r in rows_of(T)]
+    rows[2][1] = Cyc(T.conductor, (3, -2, 1, 0))
+    assert_checks_match_the_oracles(b, with_rows(T, rows))
     for label in ["cyclic:5", "sym:4", PSL27]:
         b, T = table_for(build, label)
+        X = rows_of(T)
         for j in range(T.m):
-            rows = tuple(row[:j] + (2 * row[j],) + row[j + 1 :] for row in T.entries)
+            rows = tuple(row[:j] + (2 * row[j],) + row[j + 1 :] for row in X)
             assert_checks_match_the_oracles(b, with_rows(T, rows))
 
 
@@ -1571,12 +1633,12 @@ def test_corrupted_tables_match_the_oracles(build, label, kind, i, j, values):
     T = character_table(b.G, b.S, b.split, max_classes=b.S.m)
     e, m = T.conductor, T.m
     i, j = i % m, j % m
-    rows = [list(row) for row in T.entries]
+    rows = [list(row) for row in rows_of(T)]
     if kind == "entry":
         phi = _basis(e).phi
-        rows[i][j] = CycInt(e, tuple((values * phi)[:phi]))
+        rows[i][j] = Cyc(e, tuple((values * phi)[:phi]))
     elif kind == "row times z":
-        rows[i] = [x * CycInt.root_power(e, values[0]) for x in rows[i]]
+        rows[i] = [x * Cyc.root_power(e, values[0]) for x in rows[i]]
     else:
         for row in rows:
             row[j] = 2 * row[j]
